@@ -42,17 +42,9 @@ class FederationService:
 
     def refresh_from_policies(self) -> None:
         """Re-scan the repository for ``federation.configure`` policies."""
-        self._config_rules = []
-        self._routing_rules = []
-        for policy in self.repository.adaptation_policies():
-            if FEDERATION_CONFIGURE not in policy.triggers:
-                continue
-            for action in policy.actions:
-                rule = (policy.scope, action)
-                if isinstance(action, FederationAction):
-                    self._config_rules.append(rule)
-                elif isinstance(action, ShardRoutingAction):
-                    self._routing_rules.append(rule)
+        configured = self.repository.configuration
+        self._config_rules = configured(FEDERATION_CONFIGURE, FederationAction)
+        self._routing_rules = configured(FEDERATION_CONFIGURE, ShardRoutingAction)
 
     def config(self) -> FederationAction:
         """The fleet tuning (first configured action, or the defaults)."""
@@ -62,8 +54,8 @@ class FederationService:
 
     def pinned_bus(self, vep_name: str, service_type: str | None = None) -> str | None:
         """The policy-pinned owner for a VEP, or None for hash placement."""
-        for scope, action in self._routing_rules:
-            if not scope.matches(endpoint=vep_name, service_type=service_type):
+        for policy, action in self._routing_rules:
+            if not policy.scope.matches(endpoint=vep_name, service_type=service_type):
                 continue
             if fnmatch(vep_name, action.vep_pattern):
                 return action.bus

@@ -94,9 +94,9 @@ class TracingService:
 
     Mirrors :class:`~repro.observability.slo.SloService`'s load-time-scan
     convention: the bus constructs one per tracer/repository pair and the
-    last ``Tracing`` assertion found wins (tracing is a global knob, not a
-    per-scope one). With no tracing policy loaded the tracer keeps its
-    record-everything default.
+    first ``Tracing`` assertion in priority order wins (tracing is a global
+    knob, not a per-scope one). With no tracing policy loaded the tracer
+    keeps its record-everything default.
     """
 
     def __init__(self, tracer, repository) -> None:
@@ -107,13 +107,8 @@ class TracingService:
 
     def refresh_from_policies(self) -> TracingAction | None:
         """Re-scan the repository; call after hot-loading documents."""
-        action = None
-        for policy in self.repository.adaptation_policies():
-            if TRACING_TRIGGER not in policy.triggers:
-                continue
-            for candidate in policy.actions:
-                if isinstance(candidate, TracingAction):
-                    action = candidate
+        configured = self.repository.configuration(TRACING_TRIGGER, TracingAction)
+        action = configured[0][1] if configured else None
         self.action = action
         self.tracer.configure_sampling(
             TraceSampler.from_action(action) if action is not None else None

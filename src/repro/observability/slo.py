@@ -192,25 +192,18 @@ class SloService:
         default thresholds when none is declared). Call after hot-loading
         documents; the evaluator starts on the next :meth:`ensure_started`.
         """
-        objectives: list[SloObjective] = []
-        for policy in self.repository.adaptation_policies():
-            if SLO_TRIGGER not in policy.triggers:
-                continue
-            alert = next(
-                (a for a in policy.actions if isinstance(a, BurnRateAlertAction)),
-                BurnRateAlertAction(),
+        self.objectives = [
+            SloObjective(
+                policy_name=policy.name,
+                scope=policy.scope,
+                slo=action,
+                alert=next(
+                    (a for a in policy.actions if isinstance(a, BurnRateAlertAction)),
+                    BurnRateAlertAction(),
+                ),
             )
-            for action in policy.actions:
-                if isinstance(action, SloAction):
-                    objectives.append(
-                        SloObjective(
-                            policy_name=policy.name,
-                            scope=policy.scope,
-                            slo=action,
-                            alert=alert,
-                        )
-                    )
-        self.objectives = objectives
+            for policy, action in self.repository.configuration(SLO_TRIGGER, SloAction)
+        ]
 
     def ensure_started(self) -> None:
         """Start the evaluation ticker (idempotent; no-op while inactive)."""

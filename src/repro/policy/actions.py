@@ -10,17 +10,24 @@ layers exactly as in the paper:
   invocation retries, Web services substitution, concurrent invocation of
   multiple equivalent services, skipping of activities.
 
-Actions are declarative data; each knows which layer enforces it and how to
-render itself to/from the XML policy dialect.
+Actions are declarative data and double as the dialect's schema: a field's
+dataclass default, type annotation and :func:`bounded` rules are all that
+the generic XML parse/serialize in :mod:`repro.policy.xml` and the checks
+in :func:`validate_fields` need. Only rules spanning several fields are
+written by hand, in ``__post_init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 
 from repro.orchestration import Activity, Invoke, Sequence
 
 __all__ = [
+    "ACTION_TYPES",
     "ActionError",
     "AdaptationAction",
     "AdaptiveTimeoutAction",
@@ -62,6 +69,58 @@ class ActionError(Exception):
     """An action specification is invalid or cannot be enacted."""
 
 
+def bounded(default=MISSING, **rules):
+    """A schema field: its dataclass ``default`` plus declared rules.
+
+    Checked by :func:`validate_fields`: ``gt``/``ge``/``lt``/``le`` bound a
+    number, ``choices`` lists the allowed values, ``nonempty`` rejects an
+    empty string; on a tuple the rules apply to every item. Read by the XML
+    layer: ``omit_default=True`` leaves the attribute out while the value
+    equals its default, and ``xml=(tag, *attributes)`` maps a collection
+    field onto child elements.
+    """
+    return field(default=default, metadata=rules)
+
+
+_CHECKS = {
+    "gt": (operator.gt, "> {}"),
+    "ge": (operator.ge, ">= {}"),
+    "lt": (operator.lt, "< {}"),
+    "le": (operator.le, "<= {}"),
+    "choices": (lambda value, allowed: value in allowed, "one of {}"),
+    "nonempty": (lambda value, _: bool(value), "non-empty"),
+}
+
+
+@cache
+def _rules(cls: type) -> tuple[tuple[str, tuple], ...]:
+    return tuple(
+        (f.name, tuple((key, bound) for key, bound in f.metadata.items() if key in _CHECKS))
+        for f in fields(cls)
+    )
+
+
+def validate_fields(instance) -> None:
+    """Check every field of ``instance`` against its declared rules.
+
+    ``None`` skips the rules (the field is absent); NaN never passes.
+    """
+    for name, rules in _rules(type(instance)):
+        value = getattr(instance, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if item is None:
+                continue
+            if isinstance(item, float) and math.isnan(item):
+                raise ActionError(f"{type(instance).__name__}.{name} must be a number: nan")
+            for key, bound in rules:
+                check, expected = _CHECKS[key]
+                if not check(item, bound):
+                    raise ActionError(
+                        f"{type(instance).__name__}.{name} must be "
+                        f"{expected.format(bound)}: {item!r}"
+                    )
+
+
 @dataclass(frozen=True)
 class InvokeSpec:
     """Declarative description of a Web service call to insert.
@@ -81,11 +140,16 @@ class InvokeSpec:
     operation: str
     service_type: str | None = None
     address: str | None = None
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, str] = field(
+        default_factory=dict, metadata={"xml": ("Input", "part", "value")}
+    )
+    outputs: dict[str, str] = field(
+        default_factory=dict, metadata={"xml": ("Output", "variable", "part")}
+    )
     timeout_seconds: float | None = 30.0
 
     def __post_init__(self) -> None:
+        validate_fields(self)
         if self.service_type is None and self.address is None:
             raise ActionError(f"InvokeSpec {self.name!r} needs a serviceType or address")
 
@@ -107,6 +171,9 @@ class AdaptationAction:
     #: Which middleware layer enforces this action.
     layer = "process"
 
+    def __post_init__(self) -> None:
+        validate_fields(self)
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -121,17 +188,18 @@ class AddActivityAction(AdaptationAction):
     """Insert a variation activity (or block) into the base process."""
 
     anchor: str
-    position: str = "after"  # before | after | append
-    invokes: tuple[InvokeSpec, ...] = ()
+    position: str = bounded("after", choices=("before", "after", "append"))
     block_name: str | None = None
     #: Variable seed values passed from the policy into the instance.
-    bindings: dict[str, str] = field(default_factory=dict)
+    bindings: dict[str, str] = field(
+        default_factory=dict, metadata={"xml": ("Bind", "variable", "value")}
+    )
+    invokes: tuple[InvokeSpec, ...] = bounded((), xml=("InvokeActivity",))
 
     layer = "process"
 
     def __post_init__(self) -> None:
-        if self.position not in ("before", "after", "append"):
-            raise ActionError(f"invalid position {self.position!r}")
+        super().__post_init__()
         if not self.invokes:
             raise ActionError("AddActivityAction needs at least one InvokeSpec")
 
@@ -171,13 +239,16 @@ class ReplaceActivityAction(AdaptationAction):
     """Swap an activity for a variation activity/block."""
 
     target: str
-    invokes: tuple[InvokeSpec, ...] = ()
     block_name: str | None = None
-    bindings: dict[str, str] = field(default_factory=dict)
+    bindings: dict[str, str] = field(
+        default_factory=dict, metadata={"xml": ("Bind", "variable", "value")}
+    )
+    invokes: tuple[InvokeSpec, ...] = bounded((), xml=("InvokeActivity",))
 
     layer = "process"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.invokes:
             raise ActionError("ReplaceActivityAction needs at least one InvokeSpec")
 
@@ -197,6 +268,7 @@ class SuspendProcessAction(AdaptationAction):
     """Suspend the affected process instance (cross-layer coordination)."""
 
     layer = "process"
+    xml_tags = ("Suspend",)
 
     def describe(self) -> str:
         return "suspend process instance"
@@ -207,6 +279,7 @@ class ResumeProcessAction(AdaptationAction):
     """Resume the affected process instance."""
 
     layer = "process"
+    xml_tags = ("Resume",)
 
     def describe(self) -> str:
         return "resume process instance"
@@ -219,6 +292,7 @@ class TerminateProcessAction(AdaptationAction):
     reason: str = "terminated by adaptation policy"
 
     layer = "process"
+    xml_tags = ("Terminate",)
 
     def describe(self) -> str:
         return f"terminate process instance ({self.reason})"
@@ -242,16 +316,13 @@ class CompensateInstanceAction(AdaptationAction):
     (e.g. SLO burn-rate alerts) to one process definition.
     """
 
-    scope: str | None = None
-    mode: str = "orchestration"  # orchestration | choreography
-    process: str | None = None
+    mode: str = bounded("orchestration", choices=("orchestration", "choreography"))
     reason: str = "compensated by adaptation policy"
+    scope: str | None = None
+    process: str | None = None
 
     layer = "process"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("orchestration", "choreography"):
-            raise ActionError(f"unknown compensation mode {self.mode!r}")
+    xml_tags = ("Compensate", "CompensateOnEvent")
 
     def describe(self) -> str:
         target = f" scope {self.scope!r}" if self.scope else ""
@@ -267,13 +338,9 @@ class DelayProcessAction(AdaptationAction):
     suspend now, resume automatically after ``delay_seconds``.
     """
 
-    delay_seconds: float = 10.0
+    delay_seconds: float = bounded(10.0, gt=0)
 
     layer = "process"
-
-    def __post_init__(self) -> None:
-        if self.delay_seconds <= 0:
-            raise ActionError(f"delay must be positive: {self.delay_seconds}")
 
     def describe(self) -> str:
         return f"delay process instance by {self.delay_seconds}s"
@@ -306,26 +373,16 @@ class RetryAction(AdaptationAction):
     ``backoff_multiplier`` stretches it geometrically.
     """
 
-    max_retries: int = 3
-    delay_seconds: float = 2.0
+    max_retries: int = bounded(3, ge=0)
+    delay_seconds: float = bounded(2.0, ge=0)
     backoff_multiplier: float = 1.0
     #: Hard ceiling on the backed-off delay; None leaves it unbounded.
-    max_delay_seconds: float | None = None
+    max_delay_seconds: float | None = bounded(None, ge=0)
     #: Fraction of the delay randomized symmetrically around it (0.2 means
     #: ±20%) so independent retriers don't synchronize into bursts.
-    jitter_fraction: float = 0.0
+    jitter_fraction: float = bounded(0.0, ge=0.0, lt=1.0, omit_default=True)
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ActionError(f"negative max_retries {self.max_retries}")
-        if self.delay_seconds < 0:
-            raise ActionError(f"negative delay {self.delay_seconds}")
-        if self.max_delay_seconds is not None and self.max_delay_seconds < 0:
-            raise ActionError(f"negative max_delay_seconds {self.max_delay_seconds}")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ActionError(f"jitter_fraction must be in [0, 1): {self.jitter_fraction}")
 
     def delay_for_attempt(self, attempt: int, rng=None) -> float:
         """Delay before retry ``attempt`` (1-based).
@@ -362,14 +419,16 @@ class SubstituteAction(AdaptationAction):
     (any implementation of the contract from the UDDI registry).
     """
 
-    strategy: str = "best_response_time"
+    strategy: str = bounded(
+        "best_response_time",
+        choices=("backup", "best_response_time", "round_robin", "registry"),
+    )
     backup_address: str | None = None
 
     layer = "messaging"
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("backup", "best_response_time", "round_robin", "registry"):
-            raise ActionError(f"unknown substitute strategy {self.strategy!r}")
+        super().__post_init__()
         if self.strategy == "backup" and not self.backup_address:
             raise ActionError("substitute strategy 'backup' needs a backup_address")
 
@@ -402,13 +461,9 @@ class QuarantineAction(AdaptationAction):
     after ``duration_seconds``.
     """
 
-    duration_seconds: float = 60.0
+    duration_seconds: float = bounded(60.0, gt=0)
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if self.duration_seconds <= 0:
-            raise ActionError(f"quarantine duration must be positive: {self.duration_seconds}")
 
     def describe(self) -> str:
         return f"quarantine endpoint for {self.duration_seconds}s"
@@ -480,30 +535,12 @@ class CircuitBreakerAction(ResilienceAction):
     all probes succeeding closes it, any probe failing re-opens it.
     """
 
-    failure_rate_threshold: float = 0.5
-    window: int = 20
-    min_calls: int = 5
-    consecutive_failures: int = 5
-    open_seconds: float = 30.0
-    half_open_probes: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.failure_rate_threshold <= 1.0:
-            raise ActionError(
-                f"failure_rate_threshold must be in (0, 1]: {self.failure_rate_threshold}"
-            )
-        if self.window < 1:
-            raise ActionError(f"window must be positive: {self.window}")
-        if self.min_calls < 1:
-            raise ActionError(f"min_calls must be positive: {self.min_calls}")
-        if self.consecutive_failures < 1:
-            raise ActionError(
-                f"consecutive_failures must be positive: {self.consecutive_failures}"
-            )
-        if self.open_seconds <= 0:
-            raise ActionError(f"open_seconds must be positive: {self.open_seconds}")
-        if self.half_open_probes < 1:
-            raise ActionError(f"half_open_probes must be positive: {self.half_open_probes}")
+    failure_rate_threshold: float = bounded(0.5, gt=0.0, le=1.0)
+    window: int = bounded(20, ge=1)
+    min_calls: int = bounded(5, ge=1)
+    consecutive_failures: int = bounded(5, ge=1)
+    open_seconds: float = bounded(30.0, gt=0)
+    half_open_probes: int = bounded(1, ge=1)
 
     def describe(self) -> str:
         return (
@@ -524,17 +561,9 @@ class BulkheadAction(ResilienceAction):
     retryable ``ServiceUnavailable`` fault.
     """
 
-    max_concurrent: int = 16
-    max_queue: int = 32
-    applies_to: str = "endpoint"
-
-    def __post_init__(self) -> None:
-        if self.max_concurrent < 1:
-            raise ActionError(f"max_concurrent must be positive: {self.max_concurrent}")
-        if self.max_queue < 0:
-            raise ActionError(f"negative max_queue {self.max_queue}")
-        if self.applies_to not in ("endpoint", "vep"):
-            raise ActionError(f"applies_to must be 'endpoint' or 'vep': {self.applies_to!r}")
+    max_concurrent: int = bounded(16, ge=1)
+    max_queue: int = bounded(32, ge=0)
+    applies_to: str = bounded("endpoint", choices=("endpoint", "vep"))
 
     def describe(self) -> str:
         return (
@@ -554,26 +583,19 @@ class AdaptiveTimeoutAction(ResilienceAction):
     used unchanged.
     """
 
-    aggregate: str = "p95"
-    multiplier: float = 3.0
-    min_seconds: float = 0.25
+    aggregate: str = bounded("p95", choices=("mean", "max", "p95", "p99"))
+    multiplier: float = bounded(3.0, gt=0)
+    min_seconds: float = bounded(0.25, gt=0)
     max_seconds: float = 30.0
-    window: int = 50
-    min_samples: int = 5
+    window: int = bounded(50, ge=1)
+    min_samples: int = bounded(5, ge=1)
 
     def __post_init__(self) -> None:
-        if self.aggregate not in ("mean", "max", "p95", "p99"):
-            raise ActionError(f"unknown aggregate {self.aggregate!r}")
-        if self.multiplier <= 0:
-            raise ActionError(f"multiplier must be positive: {self.multiplier}")
-        if self.min_seconds <= 0 or self.max_seconds < self.min_seconds:
+        super().__post_init__()
+        if self.max_seconds < self.min_seconds:
             raise ActionError(
-                f"need 0 < min_seconds <= max_seconds: {self.min_seconds}, {self.max_seconds}"
+                f"need min_seconds <= max_seconds: {self.min_seconds}, {self.max_seconds}"
             )
-        if self.window < 1:
-            raise ActionError(f"window must be positive: {self.window}")
-        if self.min_samples < 1:
-            raise ActionError(f"min_samples must be positive: {self.min_samples}")
 
     def describe(self) -> str:
         return (
@@ -594,16 +616,8 @@ class LoadSheddingAction(ResilienceAction):
     configure shedding — it protects the whole bus, not one endpoint.
     """
 
-    max_inflight: int = 64
-    max_retry_queue_depth: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ActionError(f"max_inflight must be positive: {self.max_inflight}")
-        if self.max_retry_queue_depth is not None and self.max_retry_queue_depth < 0:
-            raise ActionError(
-                f"negative max_retry_queue_depth {self.max_retry_queue_depth}"
-            )
+    max_inflight: int = bounded(64, ge=1)
+    max_retry_queue_depth: int | None = bounded(None, ge=0)
 
     def describe(self) -> str:
         description = f"shed load beyond {self.max_inflight} in-flight mediations"
@@ -660,18 +674,9 @@ class ResponseCacheAction(TrafficAction):
     fabric that drives adaptation.
     """
 
-    ttl_seconds: float = 30.0
-    max_entries: int = 256
-    invalidate_on: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.ttl_seconds <= 0:
-            raise ActionError(f"ttl_seconds must be positive: {self.ttl_seconds}")
-        if self.max_entries < 1:
-            raise ActionError(f"max_entries must be positive: {self.max_entries}")
-        for pattern in self.invalidate_on:
-            if not pattern:
-                raise ActionError("invalidate_on patterns must be non-empty")
+    ttl_seconds: float = bounded(30.0, gt=0)
+    max_entries: int = bounded(256, ge=1)
+    invalidate_on: tuple[str, ...] = bounded((), nonempty=True, xml=("InvalidateOn", "event"))
 
     def describe(self) -> str:
         description = (
@@ -696,22 +701,10 @@ class LoadLevelingAction(TrafficAction):
     ``ServiceUnavailable`` fault.
     """
 
-    rate_per_second: float = 50.0
-    burst: int = 10
-    max_queue: int = 64
-    max_wait_seconds: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.rate_per_second <= 0:
-            raise ActionError(
-                f"rate_per_second must be positive: {self.rate_per_second}"
-            )
-        if self.burst < 1:
-            raise ActionError(f"burst must be positive: {self.burst}")
-        if self.max_queue < 0:
-            raise ActionError(f"negative max_queue {self.max_queue}")
-        if self.max_wait_seconds < 0:
-            raise ActionError(f"negative max_wait_seconds {self.max_wait_seconds}")
+    rate_per_second: float = bounded(50.0, gt=0)
+    burst: int = bounded(10, ge=1)
+    max_queue: int = bounded(64, ge=0)
+    max_wait_seconds: float = bounded(5.0, ge=0)
 
     def describe(self) -> str:
         return (
@@ -737,41 +730,20 @@ class FederationAction(AdaptationAction):
     federation policies loaded the fleet runs on its built-in defaults.
     """
 
-    heartbeat_interval_seconds: float = 0.5
+    heartbeat_interval_seconds: float = bounded(0.5, gt=0)
     #: A bus is suspected dead after ``heartbeat_interval_seconds`` times
     #: this multiplier without a heartbeat.
-    suspicion_multiplier: float = 3.0
-    gossip_interval_seconds: float = 2.0
+    suspicion_multiplier: float = bounded(3.0, gt=1.0)
+    gossip_interval_seconds: float = bounded(2.0, gt=0)
     #: Peers each bus exchanges QoS digests with per gossip round.
-    gossip_fanout: int = 1
+    gossip_fanout: int = bounded(1, ge=1)
     #: Leadership lease duration; a dead leader's lease must expire
     #: before a follower may take over.
-    lease_seconds: float = 3.0
+    lease_seconds: float = bounded(3.0, gt=0)
     #: Virtual nodes per bus on the consistent-hash ring.
-    virtual_nodes: int = 32
+    virtual_nodes: int = bounded(32, ge=1)
 
     layer = "federation"
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_seconds <= 0:
-            raise ActionError(
-                f"heartbeat_interval_seconds must be positive: "
-                f"{self.heartbeat_interval_seconds}"
-            )
-        if self.suspicion_multiplier <= 1.0:
-            raise ActionError(
-                f"suspicion_multiplier must exceed 1: {self.suspicion_multiplier}"
-            )
-        if self.gossip_interval_seconds <= 0:
-            raise ActionError(
-                f"gossip_interval_seconds must be positive: {self.gossip_interval_seconds}"
-            )
-        if self.gossip_fanout < 1:
-            raise ActionError(f"gossip_fanout must be positive: {self.gossip_fanout}")
-        if self.lease_seconds <= 0:
-            raise ActionError(f"lease_seconds must be positive: {self.lease_seconds}")
-        if self.virtual_nodes < 1:
-            raise ActionError(f"virtual_nodes must be positive: {self.virtual_nodes}")
 
     def describe(self) -> str:
         return (
@@ -790,16 +762,10 @@ class ShardRoutingAction(AdaptationAction):
     that bus is alive; when it is not, placement falls back to the ring.
     """
 
-    bus: str = ""
-    vep_pattern: str = "*"
+    bus: str = bounded(nonempty=True)
+    vep_pattern: str = bounded("*", nonempty=True)
 
     layer = "federation"
-
-    def __post_init__(self) -> None:
-        if not self.bus:
-            raise ActionError("ShardRoutingAction needs a bus name")
-        if not self.vep_pattern:
-            raise ActionError("vep_pattern must be non-empty")
 
     def describe(self) -> str:
         return f"route VEPs matching {self.vep_pattern!r} to bus {self.bus!r}"
@@ -842,26 +808,14 @@ class SloAction(AdaptationAction):
     """
 
     name: str = "slo"
-    availability_target: float = 99.0
-    latency_target_seconds: float | None = None
-    latency_percentile: str = "p99"
-    window_seconds: float = 3600.0
+    availability_target: float = bounded(99.0, gt=0.0, lt=100.0)
+    latency_target_seconds: float | None = bounded(None, gt=0)
+    latency_percentile: str = bounded(
+        "p99", choices=("p50", "p95", "p99"), omit_default=True
+    )
+    window_seconds: float = bounded(3600.0, gt=0)
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.availability_target < 100.0:
-            raise ActionError(
-                f"availability_target must be in (0, 100): {self.availability_target}"
-            )
-        if self.latency_target_seconds is not None and self.latency_target_seconds <= 0:
-            raise ActionError(
-                f"latency_target_seconds must be positive: {self.latency_target_seconds}"
-            )
-        if self.latency_percentile not in ("p50", "p95", "p99"):
-            raise ActionError(f"unknown latency_percentile {self.latency_percentile!r}")
-        if self.window_seconds <= 0:
-            raise ActionError(f"window_seconds must be positive: {self.window_seconds}")
 
     @property
     def error_budget(self) -> float:
@@ -894,32 +848,22 @@ class BurnRateAlertAction(AdaptationAction):
     window drops back under 1.0.
     """
 
-    fast_window_seconds: float = 60.0
-    slow_window_seconds: float = 300.0
-    fast_burn_threshold: float = 14.0
-    slow_burn_threshold: float = 2.0
-    evaluation_interval_seconds: float = 5.0
-    min_requests: int = 10
+    fast_window_seconds: float = bounded(60.0, gt=0)
+    slow_window_seconds: float = bounded(300.0, gt=0)
+    fast_burn_threshold: float = bounded(14.0, gt=0)
+    slow_burn_threshold: float = bounded(2.0, gt=0)
+    evaluation_interval_seconds: float = bounded(5.0, gt=0)
+    min_requests: int = bounded(10, ge=1)
 
     layer = "messaging"
 
     def __post_init__(self) -> None:
-        if self.fast_window_seconds <= 0 or self.slow_window_seconds <= 0:
-            raise ActionError("burn-rate windows must be positive")
+        super().__post_init__()
         if self.fast_window_seconds > self.slow_window_seconds:
             raise ActionError(
                 f"fast window ({self.fast_window_seconds:g}s) must not exceed "
                 f"slow window ({self.slow_window_seconds:g}s)"
             )
-        if self.fast_burn_threshold <= 0 or self.slow_burn_threshold <= 0:
-            raise ActionError("burn thresholds must be positive")
-        if self.evaluation_interval_seconds <= 0:
-            raise ActionError(
-                f"evaluation_interval_seconds must be positive: "
-                f"{self.evaluation_interval_seconds}"
-            )
-        if self.min_requests < 1:
-            raise ActionError(f"min_requests must be positive: {self.min_requests}")
 
     def describe(self) -> str:
         return (
@@ -947,17 +891,11 @@ class TracingAction(AdaptationAction):
     either way, because sampling only filters what is exported.
     """
 
-    sample_rate: float = 1.0
+    sample_rate: float = bounded(1.0, ge=0.0, le=1.0)
     always_sample_faults: bool = True
     always_sample_slo_violations: bool = True
 
     layer = "messaging"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ActionError(
-                f"sample_rate must be within [0, 1]: {self.sample_rate}"
-            )
 
     def describe(self) -> str:
         promotions = [
@@ -982,16 +920,42 @@ class SelectionStrategyAction(AdaptationAction):
     the members burning the error budget.
     """
 
-    strategy: str = "best_reliability"
+    strategy: str = bounded("best_reliability", choices=SELECTION_STRATEGIES)
 
     layer = "messaging"
 
-    def __post_init__(self) -> None:
-        if self.strategy not in SELECTION_STRATEGIES:
-            raise ActionError(
-                f"unknown selection strategy {self.strategy!r}; "
-                f"expected one of {SELECTION_STRATEGIES}"
-            )
-
     def describe(self) -> str:
         return f"switch selection strategy to {self.strategy}"
+
+
+#: The action vocabulary of WS-Policy4MASC: every concrete assertion class.
+ACTION_TYPES: tuple[type[AdaptationAction], ...] = (
+    AddActivityAction,
+    RemoveActivityAction,
+    ReplaceActivityAction,
+    SuspendProcessAction,
+    ResumeProcessAction,
+    TerminateProcessAction,
+    CompensateInstanceAction,
+    DelayProcessAction,
+    ExtendTimeoutAction,
+    RetryAction,
+    SubstituteAction,
+    ConcurrentInvokeAction,
+    QuarantineAction,
+    PreferBestAction,
+    SkipAction,
+    CircuitBreakerAction,
+    BulkheadAction,
+    AdaptiveTimeoutAction,
+    LoadSheddingAction,
+    IdempotencyAction,
+    ResponseCacheAction,
+    LoadLevelingAction,
+    FederationAction,
+    ShardRoutingAction,
+    SloAction,
+    BurnRateAlertAction,
+    TracingAction,
+    SelectionStrategyAction,
+)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.policy.actions import AdaptationAction
 from repro.policy.model import (
     AdaptationPolicy,
     BusinessValue,
@@ -104,6 +105,24 @@ class PolicyRepository:
             policy
             for policy in self.adaptation_policies()
             if policy.triggered_by(event) and policy.scope.matches(**subject)
+        ]
+
+    def configuration(
+        self, trigger: str, kind: type | tuple[type, ...]
+    ) -> list[tuple[AdaptationPolicy, AdaptationAction]]:
+        """The ``(policy, action)`` pairs of the policies carrying ``trigger``
+        whose actions are instances of ``kind``, in priority order.
+
+        This is the load-time scan behind the configuration triggers
+        (``resilience.configure``, ``observability.slo``, ...): where one
+        action must win, the first pair does.
+        """
+        return [
+            (policy, action)
+            for policy in self.adaptation_policies()
+            if trigger in policy.triggers
+            for action in policy.actions
+            if isinstance(action, kind)
         ]
 
     def goal_policies(self) -> list[GoalPolicy]:

@@ -1,46 +1,23 @@
 """XML serialization of WS-Policy4MASC documents.
 
 The wire format is a W3C WS-Policy ``Policy`` element whose assertions live
-in the MASC namespace. Parsing is strict (unknown assertion elements are an
-error — policies drive adaptation of live systems, so silent skipping would
-be dangerous) and documents round-trip: ``parse(serialize(doc))`` yields an
-equivalent document.
+in the MASC namespace. Parsing is strict (unknown elements and attributes
+and malformed values are errors — policies drive adaptation of live
+systems, so silent skipping would be dangerous) and documents round-trip:
+``parse(serialize(doc))`` yields an equivalent document.
+
+Adaptation actions have no per-action code here: one generic pair,
+:func:`_schema_to_element` / :func:`_element_to_schema`, reads the action
+dataclasses of :mod:`repro.policy.actions` as the dialect's schema.
 """
 
 from __future__ import annotations
 
-from repro.policy.actions import (
-    AdaptationAction,
-    AdaptiveTimeoutAction,
-    AddActivityAction,
-    BulkheadAction,
-    BurnRateAlertAction,
-    CircuitBreakerAction,
-    CompensateInstanceAction,
-    DelayProcessAction,
-    ConcurrentInvokeAction,
-    ExtendTimeoutAction,
-    FederationAction,
-    IdempotencyAction,
-    InvokeSpec,
-    LoadLevelingAction,
-    LoadSheddingAction,
-    PreferBestAction,
-    QuarantineAction,
-    RemoveActivityAction,
-    ReplaceActivityAction,
-    ResponseCacheAction,
-    ResumeProcessAction,
-    RetryAction,
-    SelectionStrategyAction,
-    ShardRoutingAction,
-    SkipAction,
-    SloAction,
-    SubstituteAction,
-    SuspendProcessAction,
-    TerminateProcessAction,
-    TracingAction,
-)
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
+
+from repro.policy.actions import ACTION_TYPES, AdaptationAction
 from repro.policy.assertions import MessageCondition, QoSThreshold
 from repro.policy.model import (
     AdaptationPolicy,
@@ -57,6 +34,8 @@ from repro.xmlutils import Element, QName, parse_xml, serialize_xml
 __all__ = [
     "MASC_POLICY_NS",
     "WSP_NS",
+    "attribute_name",
+    "element_tags",
     "parse_policy_document",
     "serialize_policy_document",
 ]
@@ -67,6 +46,48 @@ MASC_POLICY_NS = "http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc"
 
 def _masc(local: str) -> QName:
     return QName(MASC_POLICY_NS, local)
+
+
+# ---------------------------------------------------------------------------
+# Assertion schema: the action dataclasses (and InvokeSpec) read as XML
+# ---------------------------------------------------------------------------
+
+
+def attribute_name(field_name: str) -> str:
+    """The XML attribute of a schema field: ``max_retries`` -> ``maxRetries``."""
+    head, *rest = field_name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
+
+
+def element_tags(cls: type) -> tuple[str, ...]:
+    """XML element names of an action class, canonical first: its
+    ``xml_tags``, else the class name without the ``Action`` suffix."""
+    return getattr(cls, "xml_tags", None) or (cls.__name__.removesuffix("Action"),)
+
+
+_ACTIONS_BY_TAG = {tag: cls for cls in ACTION_TYPES for tag in element_tags(cls)}
+_BOOLEANS = {"true": True, "false": False}
+
+
+@cache
+def _schema(cls: type) -> tuple[dict, list]:
+    """Split a schema dataclass into attribute and child-element fields.
+
+    Attributes map XML name -> (field, value type, optional); children are
+    (field, (tag, *attribute names), item type, is mapping) in declaration
+    order.
+    """
+    hints = get_type_hints(cls)
+    attributes, children = {}, []
+    for f in fields(cls):
+        hint = hints[f.name]
+        args = [arg for arg in get_args(hint) if arg is not type(None)]
+        if "xml" in f.metadata:
+            children.append((f, f.metadata["xml"], args[0], get_origin(hint) is dict))
+        else:
+            optional = len(args) < len(get_args(hint))
+            attributes[attribute_name(f.name)] = (f, args[0] if optional else hint, optional)
+    return attributes, children
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +210,9 @@ def _adaptation_to_element(policy: AdaptationPolicy) -> Element:
         element.add(_masc("StateAfter"), text=policy.state_after)
     actions = element.add(_masc("Actions"))
     for action in policy.actions:
-        actions.append(_action_to_element(action))
+        if type(action) not in ACTION_TYPES:
+            raise PolicyError(f"cannot serialize action {type(action).__name__}")
+        actions.append(_schema_to_element(action, element_tags(type(action))[0]))
     if policy.business_value is not None:
         element.add(
             _masc("BusinessValue"),
@@ -200,216 +223,28 @@ def _adaptation_to_element(policy: AdaptationPolicy) -> Element:
     return element
 
 
-def _invoke_spec_to_element(spec: InvokeSpec) -> Element:
-    attributes = {"name": spec.name, "operation": spec.operation}
-    if spec.service_type is not None:
-        attributes["serviceType"] = spec.service_type
-    if spec.address is not None:
-        attributes["address"] = spec.address
-    if spec.timeout_seconds is not None:
-        attributes["timeoutSeconds"] = str(spec.timeout_seconds)
-    element = Element(_masc("InvokeActivity"), attributes=attributes)
-    for part, value in spec.inputs.items():
-        element.add(_masc("Input"), part=part, value=str(value))
-    for variable, part in spec.outputs.items():
-        element.add(_masc("Output"), variable=variable, part=part)
+def _schema_to_element(value, tag: str) -> Element:
+    """Serialize a schema dataclass: attributes in declaration order, then
+    child elements. ``None`` is omitted, and so is a value at its default
+    when the field declares ``omit_default``."""
+    attributes, children = _schema(type(value))
+    element = Element(_masc(tag))
+    for name, (f, kind, _) in attributes.items():
+        item = getattr(value, f.name)
+        if item is None or (f.metadata.get("omit_default") and item == f.default):
+            continue
+        element.attributes[name] = ("true" if item else "false") if kind is bool else str(item)
+    for f, (child_tag, *names), item_type, mapping in children:
+        items = getattr(value, f.name)
+        for item in items.items() if mapping else items:
+            if is_dataclass(item_type):
+                element.append(_schema_to_element(item, child_tag))
+            else:
+                row = item if mapping else (item,)
+                element.append(
+                    Element(_masc(child_tag), attributes=dict(zip(names, map(str, row))))
+                )
     return element
-
-
-def _action_to_element(action: AdaptationAction) -> Element:
-    if isinstance(action, RetryAction):
-        attributes = {
-            "maxRetries": str(action.max_retries),
-            "delaySeconds": str(action.delay_seconds),
-            "backoffMultiplier": str(action.backoff_multiplier),
-        }
-        if action.max_delay_seconds is not None:
-            attributes["maxDelaySeconds"] = str(action.max_delay_seconds)
-        if action.jitter_fraction != 0.0:
-            attributes["jitterFraction"] = str(action.jitter_fraction)
-        return Element(_masc("Retry"), attributes=attributes)
-    if isinstance(action, SubstituteAction):
-        attributes = {"strategy": action.strategy}
-        if action.backup_address is not None:
-            attributes["backupAddress"] = action.backup_address
-        return Element(_masc("Substitute"), attributes=attributes)
-    if isinstance(action, ConcurrentInvokeAction):
-        return Element(
-            _masc("ConcurrentInvoke"), attributes={"maxTargets": str(action.max_targets)}
-        )
-    if isinstance(action, SkipAction):
-        return Element(_masc("Skip"), attributes={"reason": action.reason})
-    if isinstance(action, SuspendProcessAction):
-        return Element(_masc("Suspend"))
-    if isinstance(action, ResumeProcessAction):
-        return Element(_masc("Resume"))
-    if isinstance(action, TerminateProcessAction):
-        return Element(_masc("Terminate"), attributes={"reason": action.reason})
-    if isinstance(action, CompensateInstanceAction):
-        attributes = {"mode": action.mode, "reason": action.reason}
-        if action.scope is not None:
-            attributes["scope"] = action.scope
-        if action.process is not None:
-            attributes["process"] = action.process
-        return Element(_masc("Compensate"), attributes=attributes)
-    if isinstance(action, ExtendTimeoutAction):
-        return Element(
-            _masc("ExtendTimeout"), attributes={"extraSeconds": str(action.extra_seconds)}
-        )
-    if isinstance(action, DelayProcessAction):
-        return Element(
-            _masc("DelayProcess"), attributes={"delaySeconds": str(action.delay_seconds)}
-        )
-    if isinstance(action, QuarantineAction):
-        return Element(
-            _masc("Quarantine"), attributes={"durationSeconds": str(action.duration_seconds)}
-        )
-    if isinstance(action, PreferBestAction):
-        return Element(
-            _masc("PreferBest"),
-            attributes={"metric": action.metric, "window": str(action.window)},
-        )
-    if isinstance(action, CircuitBreakerAction):
-        return Element(
-            _masc("CircuitBreaker"),
-            attributes={
-                "failureRateThreshold": str(action.failure_rate_threshold),
-                "window": str(action.window),
-                "minCalls": str(action.min_calls),
-                "consecutiveFailures": str(action.consecutive_failures),
-                "openSeconds": str(action.open_seconds),
-                "halfOpenProbes": str(action.half_open_probes),
-            },
-        )
-    if isinstance(action, BulkheadAction):
-        return Element(
-            _masc("Bulkhead"),
-            attributes={
-                "maxConcurrent": str(action.max_concurrent),
-                "maxQueue": str(action.max_queue),
-                "appliesTo": action.applies_to,
-            },
-        )
-    if isinstance(action, AdaptiveTimeoutAction):
-        return Element(
-            _masc("AdaptiveTimeout"),
-            attributes={
-                "aggregate": action.aggregate,
-                "multiplier": str(action.multiplier),
-                "minSeconds": str(action.min_seconds),
-                "maxSeconds": str(action.max_seconds),
-                "window": str(action.window),
-                "minSamples": str(action.min_samples),
-            },
-        )
-    if isinstance(action, LoadSheddingAction):
-        attributes = {"maxInflight": str(action.max_inflight)}
-        if action.max_retry_queue_depth is not None:
-            attributes["maxRetryQueueDepth"] = str(action.max_retry_queue_depth)
-        return Element(_masc("LoadShedding"), attributes=attributes)
-    if isinstance(action, IdempotencyAction):
-        return Element(_masc("Idempotency"))
-    if isinstance(action, ResponseCacheAction):
-        element = Element(
-            _masc("ResponseCache"),
-            attributes={
-                "ttlSeconds": str(action.ttl_seconds),
-                "maxEntries": str(action.max_entries),
-            },
-        )
-        for pattern in action.invalidate_on:
-            element.add(_masc("InvalidateOn"), event=pattern)
-        return element
-    if isinstance(action, LoadLevelingAction):
-        return Element(
-            _masc("LoadLeveling"),
-            attributes={
-                "ratePerSecond": str(action.rate_per_second),
-                "burst": str(action.burst),
-                "maxQueue": str(action.max_queue),
-                "maxWaitSeconds": str(action.max_wait_seconds),
-            },
-        )
-    if isinstance(action, SloAction):
-        attributes = {
-            "name": action.name,
-            "availabilityTarget": str(action.availability_target),
-            "windowSeconds": str(action.window_seconds),
-        }
-        if action.latency_target_seconds is not None:
-            attributes["latencyTargetSeconds"] = str(action.latency_target_seconds)
-            attributes["latencyPercentile"] = action.latency_percentile
-        return Element(_masc("Slo"), attributes=attributes)
-    if isinstance(action, BurnRateAlertAction):
-        return Element(
-            _masc("BurnRateAlert"),
-            attributes={
-                "fastWindowSeconds": str(action.fast_window_seconds),
-                "slowWindowSeconds": str(action.slow_window_seconds),
-                "fastBurnThreshold": str(action.fast_burn_threshold),
-                "slowBurnThreshold": str(action.slow_burn_threshold),
-                "evaluationIntervalSeconds": str(action.evaluation_interval_seconds),
-                "minRequests": str(action.min_requests),
-            },
-        )
-    if isinstance(action, SelectionStrategyAction):
-        return Element(
-            _masc("SelectionStrategy"), attributes={"strategy": action.strategy}
-        )
-    if isinstance(action, TracingAction):
-        return Element(
-            _masc("Tracing"),
-            attributes={
-                "sampleRate": str(action.sample_rate),
-                "alwaysSampleFaults": "true" if action.always_sample_faults else "false",
-                "alwaysSampleSloViolations": (
-                    "true" if action.always_sample_slo_violations else "false"
-                ),
-            },
-        )
-    if isinstance(action, FederationAction):
-        return Element(
-            _masc("Federation"),
-            attributes={
-                "heartbeatIntervalSeconds": str(action.heartbeat_interval_seconds),
-                "suspicionMultiplier": str(action.suspicion_multiplier),
-                "gossipIntervalSeconds": str(action.gossip_interval_seconds),
-                "gossipFanout": str(action.gossip_fanout),
-                "leaseSeconds": str(action.lease_seconds),
-                "virtualNodes": str(action.virtual_nodes),
-            },
-        )
-    if isinstance(action, ShardRoutingAction):
-        return Element(
-            _masc("ShardRouting"),
-            attributes={"bus": action.bus, "vepPattern": action.vep_pattern},
-        )
-    if isinstance(action, AddActivityAction):
-        attributes = {"anchor": action.anchor, "position": action.position}
-        if action.block_name is not None:
-            attributes["blockName"] = action.block_name
-        element = Element(_masc("AddActivity"), attributes=attributes)
-        for variable, value in action.bindings.items():
-            element.add(_masc("Bind"), variable=variable, value=str(value))
-        for spec in action.invokes:
-            element.append(_invoke_spec_to_element(spec))
-        return element
-    if isinstance(action, RemoveActivityAction):
-        attributes = {"target": action.target}
-        if action.block_end is not None:
-            attributes["blockEnd"] = action.block_end
-        return Element(_masc("RemoveActivity"), attributes=attributes)
-    if isinstance(action, ReplaceActivityAction):
-        attributes = {"target": action.target}
-        if action.block_name is not None:
-            attributes["blockName"] = action.block_name
-        element = Element(_masc("ReplaceActivity"), attributes=attributes)
-        for variable, value in action.bindings.items():
-            element.add(_masc("Bind"), variable=variable, value=str(value))
-        for spec in action.invokes:
-            element.append(_invoke_spec_to_element(spec))
-        return element
-    raise PolicyError(f"cannot serialize action {type(action).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,207 +355,61 @@ def _parse_monitoring(element: Element) -> MonitoringPolicy:
     )
 
 
-def _parse_invoke_spec(element: Element) -> InvokeSpec:
-    timeout_text = element.attributes.get("timeoutSeconds")
-    return InvokeSpec(
-        name=_required(element, "name"),
-        operation=_required(element, "operation"),
-        service_type=element.attributes.get("serviceType"),
-        address=element.attributes.get("address"),
-        inputs={
-            _required(part, "part"): _required(part, "value")
-            for part in element.find_all(_masc("Input"))
-        },
-        outputs={
-            _required(part, "variable"): _required(part, "part")
-            for part in element.find_all(_masc("Output"))
-        },
-        timeout_seconds=float(timeout_text) if timeout_text is not None else None,
-    )
+def _check_attributes(element: Element, allowed) -> None:
+    for name in element.attributes:
+        if name not in allowed:
+            raise PolicyError(f"element {element.name.local} has unknown attribute {name!r}")
+
+
+def _convert(element: Element, name: str, kind: type, text: str):
+    try:
+        return _BOOLEANS[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise PolicyError(
+            f"element {element.name.local}: attribute {name!r} is not a valid "
+            f"{kind.__name__}: {text!r}"
+        ) from None
+
+
+def _element_to_schema(cls: type, element: Element):
+    """Parse a schema dataclass, rejecting unknown attributes and children.
+
+    An absent attribute takes the field's default, or ``None`` when the
+    field is optional; a field without a default is required.
+    """
+    attributes, children = _schema(cls)
+    _check_attributes(element, attributes)
+    known = {_masc(tag) for _, (tag, *_), _, _ in children}
+    for child in element.children:
+        if child.name not in known:
+            raise PolicyError(f"element {element.name.local} has unknown child {child.name}")
+    values = {}
+    for name, (f, kind, optional) in attributes.items():
+        text = element.attributes.get(name)
+        if text is not None:
+            values[f.name] = _convert(element, name, kind, text)
+        elif optional:
+            values[f.name] = None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise PolicyError(f"element {element.name.local} is missing attribute {name!r}")
+    for f, (tag, *names), item_type, mapping in children:
+        found = element.find_all(_masc(tag))
+        if is_dataclass(item_type):
+            values[f.name] = tuple(_element_to_schema(item_type, child) for child in found)
+            continue
+        rows = []
+        for child in found:
+            _check_attributes(child, names)
+            rows.append(tuple(_required(child, name) for name in names))
+        values[f.name] = dict(rows) if mapping else tuple(row[0] for row in rows)
+    return cls(**values)
 
 
 def _parse_action(element: Element) -> AdaptationAction:
-    local = element.name.local
-    if local == "Retry":
-        max_delay_text = element.attributes.get("maxDelaySeconds")
-        return RetryAction(
-            max_retries=int(element.attributes.get("maxRetries", "3")),
-            delay_seconds=float(element.attributes.get("delaySeconds", "2.0")),
-            backoff_multiplier=float(element.attributes.get("backoffMultiplier", "1.0")),
-            max_delay_seconds=float(max_delay_text) if max_delay_text is not None else None,
-            jitter_fraction=float(element.attributes.get("jitterFraction", "0.0")),
-        )
-    if local == "Substitute":
-        return SubstituteAction(
-            strategy=element.attributes.get("strategy", "best_response_time"),
-            backup_address=element.attributes.get("backupAddress"),
-        )
-    if local == "ConcurrentInvoke":
-        return ConcurrentInvokeAction(max_targets=int(element.attributes.get("maxTargets", "0")))
-    if local == "Skip":
-        return SkipAction(reason=element.attributes.get("reason", "activity skipped by policy"))
-    if local == "Suspend":
-        return SuspendProcessAction()
-    if local == "Resume":
-        return ResumeProcessAction()
-    if local == "Terminate":
-        return TerminateProcessAction(
-            reason=element.attributes.get("reason", "terminated by adaptation policy")
-        )
-    if local in ("Compensate", "CompensateOnEvent"):
-        return CompensateInstanceAction(
-            scope=element.attributes.get("scope"),
-            mode=element.attributes.get("mode", "orchestration"),
-            process=element.attributes.get("process"),
-            reason=element.attributes.get("reason", "compensated by adaptation policy"),
-        )
-    if local == "ExtendTimeout":
-        return ExtendTimeoutAction(extra_seconds=float(element.attributes.get("extraSeconds", "10")))
-    if local == "DelayProcess":
-        return DelayProcessAction(
-            delay_seconds=float(element.attributes.get("delaySeconds", "10"))
-        )
-    if local == "Quarantine":
-        return QuarantineAction(
-            duration_seconds=float(element.attributes.get("durationSeconds", "60"))
-        )
-    if local == "PreferBest":
-        return PreferBestAction(
-            metric=element.attributes.get("metric", "response_time"),
-            window=int(element.attributes.get("window", "50")),
-        )
-    if local == "CircuitBreaker":
-        return CircuitBreakerAction(
-            failure_rate_threshold=float(element.attributes.get("failureRateThreshold", "0.5")),
-            window=int(element.attributes.get("window", "20")),
-            min_calls=int(element.attributes.get("minCalls", "5")),
-            consecutive_failures=int(element.attributes.get("consecutiveFailures", "5")),
-            open_seconds=float(element.attributes.get("openSeconds", "30")),
-            half_open_probes=int(element.attributes.get("halfOpenProbes", "1")),
-        )
-    if local == "Bulkhead":
-        return BulkheadAction(
-            max_concurrent=int(element.attributes.get("maxConcurrent", "16")),
-            max_queue=int(element.attributes.get("maxQueue", "32")),
-            applies_to=element.attributes.get("appliesTo", "endpoint"),
-        )
-    if local == "AdaptiveTimeout":
-        return AdaptiveTimeoutAction(
-            aggregate=element.attributes.get("aggregate", "p95"),
-            multiplier=float(element.attributes.get("multiplier", "3.0")),
-            min_seconds=float(element.attributes.get("minSeconds", "0.25")),
-            max_seconds=float(element.attributes.get("maxSeconds", "30")),
-            window=int(element.attributes.get("window", "50")),
-            min_samples=int(element.attributes.get("minSamples", "5")),
-        )
-    if local == "LoadShedding":
-        depth_text = element.attributes.get("maxRetryQueueDepth")
-        return LoadSheddingAction(
-            max_inflight=int(element.attributes.get("maxInflight", "64")),
-            max_retry_queue_depth=int(depth_text) if depth_text is not None else None,
-        )
-    if local == "Idempotency":
-        return IdempotencyAction()
-    if local == "ResponseCache":
-        return ResponseCacheAction(
-            ttl_seconds=float(element.attributes.get("ttlSeconds", "30")),
-            max_entries=int(element.attributes.get("maxEntries", "256")),
-            invalidate_on=tuple(
-                _required(on, "event") for on in element.find_all(_masc("InvalidateOn"))
-            ),
-        )
-    if local == "LoadLeveling":
-        return LoadLevelingAction(
-            rate_per_second=float(element.attributes.get("ratePerSecond", "50")),
-            burst=int(element.attributes.get("burst", "10")),
-            max_queue=int(element.attributes.get("maxQueue", "64")),
-            max_wait_seconds=float(element.attributes.get("maxWaitSeconds", "5")),
-        )
-    if local == "Slo":
-        latency_text = element.attributes.get("latencyTargetSeconds")
-        return SloAction(
-            name=element.attributes.get("name", "slo"),
-            availability_target=float(element.attributes.get("availabilityTarget", "99.0")),
-            latency_target_seconds=(
-                float(latency_text) if latency_text is not None else None
-            ),
-            latency_percentile=element.attributes.get("latencyPercentile", "p99"),
-            window_seconds=float(element.attributes.get("windowSeconds", "3600")),
-        )
-    if local == "BurnRateAlert":
-        return BurnRateAlertAction(
-            fast_window_seconds=float(element.attributes.get("fastWindowSeconds", "60")),
-            slow_window_seconds=float(element.attributes.get("slowWindowSeconds", "300")),
-            fast_burn_threshold=float(element.attributes.get("fastBurnThreshold", "14")),
-            slow_burn_threshold=float(element.attributes.get("slowBurnThreshold", "2")),
-            evaluation_interval_seconds=float(
-                element.attributes.get("evaluationIntervalSeconds", "5")
-            ),
-            min_requests=int(element.attributes.get("minRequests", "10")),
-        )
-    if local == "SelectionStrategy":
-        return SelectionStrategyAction(
-            strategy=element.attributes.get("strategy", "best_reliability")
-        )
-    if local == "Tracing":
-        return TracingAction(
-            sample_rate=float(element.attributes.get("sampleRate", "1.0")),
-            always_sample_faults=(
-                element.attributes.get("alwaysSampleFaults", "true") == "true"
-            ),
-            always_sample_slo_violations=(
-                element.attributes.get("alwaysSampleSloViolations", "true") == "true"
-            ),
-        )
-    if local == "Federation":
-        return FederationAction(
-            heartbeat_interval_seconds=float(
-                element.attributes.get("heartbeatIntervalSeconds", "0.5")
-            ),
-            suspicion_multiplier=float(element.attributes.get("suspicionMultiplier", "3.0")),
-            gossip_interval_seconds=float(
-                element.attributes.get("gossipIntervalSeconds", "2.0")
-            ),
-            gossip_fanout=int(element.attributes.get("gossipFanout", "1")),
-            lease_seconds=float(element.attributes.get("leaseSeconds", "3.0")),
-            virtual_nodes=int(element.attributes.get("virtualNodes", "32")),
-        )
-    if local == "ShardRouting":
-        return ShardRoutingAction(
-            bus=_required(element, "bus"),
-            vep_pattern=element.attributes.get("vepPattern", "*"),
-        )
-    if local == "AddActivity":
-        return AddActivityAction(
-            anchor=_required(element, "anchor"),
-            position=element.attributes.get("position", "after"),
-            block_name=element.attributes.get("blockName"),
-            bindings={
-                _required(b, "variable"): _required(b, "value")
-                for b in element.find_all(_masc("Bind"))
-            },
-            invokes=tuple(
-                _parse_invoke_spec(spec) for spec in element.find_all(_masc("InvokeActivity"))
-            ),
-        )
-    if local == "RemoveActivity":
-        return RemoveActivityAction(
-            target=_required(element, "target"),
-            block_end=element.attributes.get("blockEnd"),
-        )
-    if local == "ReplaceActivity":
-        return ReplaceActivityAction(
-            target=_required(element, "target"),
-            block_name=element.attributes.get("blockName"),
-            bindings={
-                _required(b, "variable"): _required(b, "value")
-                for b in element.find_all(_masc("Bind"))
-            },
-            invokes=tuple(
-                _parse_invoke_spec(spec) for spec in element.find_all(_masc("InvokeActivity"))
-            ),
-        )
-    raise PolicyError(f"unknown adaptation action element {local!r}")
+    cls = _ACTIONS_BY_TAG.get(element.name.local)
+    if cls is None:
+        raise PolicyError(f"unknown adaptation action element {element.name.local!r}")
+    return _element_to_schema(cls, element)
 
 
 def _parse_adaptation(element: Element) -> AdaptationPolicy:

@@ -124,26 +124,25 @@ class ResilienceService:
         bulkheads keep their runtime state; their thresholds are updated
         in place when the matching configuration changed.
         """
-        self._breaker_rules = list(self._dynamic_rules)
-        self._bulkhead_rules = list(self._dynamic_rules)
-        self._timeout_rules = list(self._dynamic_rules)
-        self._static_shedding = None
-        for policy in self.repository.adaptation_policies():
-            if "resilience.configure" not in policy.triggers:
-                continue
-            for action in policy.actions:
-                rule = (policy.scope, action)
-                if isinstance(action, CircuitBreakerAction):
-                    self._breaker_rules.append(rule)
-                elif isinstance(action, BulkheadAction):
-                    self._bulkhead_rules.append(rule)
-                elif isinstance(action, AdaptiveTimeoutAction):
-                    self._timeout_rules.append(rule)
-                elif isinstance(action, LoadSheddingAction):
-                    # Shedding guards the whole bus: only unscoped policies
-                    # apply, first by priority wins.
-                    if self._static_shedding is None and policy.scope.matches():
-                        self._static_shedding = action
+        def rules(kind) -> list[tuple]:
+            configured = self.repository.configuration("resilience.configure", kind)
+            return self._dynamic_rules + [(policy.scope, action) for policy, action in configured]
+
+        self._breaker_rules = rules(CircuitBreakerAction)
+        self._bulkhead_rules = rules(BulkheadAction)
+        self._timeout_rules = rules(AdaptiveTimeoutAction)
+        # Shedding guards the whole bus: only unscoped policies apply,
+        # first by priority wins.
+        self._static_shedding = next(
+            (
+                action
+                for policy, action in self.repository.configuration(
+                    "resilience.configure", LoadSheddingAction
+                )
+                if policy.scope.matches()
+            ),
+            None,
+        )
         self._reconfigure_live()
 
     def apply_action(self, action: ResilienceAction, scope=None) -> bool:

@@ -71,32 +71,22 @@ class TrafficService:
 
     def refresh_from_policies(self) -> None:
         """Re-scan the repository for ``traffic.configure`` policies."""
-        self._idempotency_rules = []
-        self._cache_rules = []
-        self._leveling_rules = []
-        for policy in self.repository.adaptation_policies():
-            if TRAFFIC_CONFIGURE not in policy.triggers:
-                continue
-            for action in policy.actions:
-                rule = (policy.scope, action)
-                if isinstance(action, IdempotencyAction):
-                    self._idempotency_rules.append(rule)
-                elif isinstance(action, ResponseCacheAction):
-                    self._cache_rules.append(rule)
-                elif isinstance(action, LoadLevelingAction):
-                    self._leveling_rules.append(rule)
+        configured = self.repository.configuration
+        self._idempotency_rules = configured(TRAFFIC_CONFIGURE, IdempotencyAction)
+        self._cache_rules = configured(TRAFFIC_CONFIGURE, ResponseCacheAction)
+        self._leveling_rules = configured(TRAFFIC_CONFIGURE, LoadLevelingAction)
         # Levelers are re-derived lazily against the fresh rules; caches
         # for actions no longer configured are dropped.
         self._levelers.clear()
-        live = {scope_action[1] for scope_action in self._cache_rules}
+        live = {action for _, action in self._cache_rules}
         for config in list(self._caches):
             if config not in live:
                 del self._caches[config]
 
     @staticmethod
     def _match(rules, **subject):
-        for scope, action in rules:
-            if scope.matches(**subject):
+        for policy, action in rules:
+            if policy.scope.matches(**subject):
                 return action
         return None
 

@@ -159,6 +159,41 @@ class TestPolicyLanguageDocAudit:
         for element, class_name in documented.items():
             assert hasattr(actions, class_name), f"{element} -> {class_name}"
 
+    def test_every_schema_element_and_attribute_is_documented(self):
+        """Walk the action schema registry: every element (and alias), every
+        attribute and every child element appears in the doc's tables."""
+        from dataclasses import fields
+        from typing import get_type_hints
+
+        from repro.policy.actions import ACTION_TYPES
+        from repro.policy.xml import attribute_name, element_tags
+
+        text = (DOCS_DIR / "policy-language.md").read_text(encoding="utf-8")
+        rows = [line for line in text.splitlines() if line.startswith("| `")]
+
+        def row_for(tag):
+            found = [row for row in rows if f"`{tag}`" in row.split("|")[1]]
+            assert found, f"no table row documents <masc:{tag}>"
+            return found[0]
+
+        pending = [(cls, element_tags(cls)) for cls in ACTION_TYPES]
+        while pending:
+            cls, tags = pending.pop()
+            row = row_for(tags[0])
+            for alias in tags[1:]:
+                assert f"`{alias}`" in row, f"{tags[0]} alias {alias} undocumented"
+            for f in fields(cls):
+                child = f.metadata.get("xml")
+                if child is None:
+                    assert f"`{attribute_name(f.name)}`" in row, f"{tags[0]}.{f.name}"
+                    continue
+                tag, *child_attributes = child
+                assert f"`{tag}" in row, f"{tags[0]} child {tag} undocumented"
+                for attribute in child_attributes:
+                    assert f"{attribute}=" in row, f"{tags[0]} child {tag}.{attribute}"
+                if not child_attributes:  # a nested schema element
+                    pending.append((get_type_hints(cls)[f.name].__args__[0], (tag,)))
+
     def test_goal_policy_machinery(self):
         from repro.core.optimization import UtilityDrivenDecisionMaker  # noqa: F401
 

@@ -15,6 +15,7 @@ from repro.policy import (
     PolicyValidationError,
     RemoveActivityAction,
     RetryAction,
+    SkipAction,
     serialize_policy_document,
     validate_document,
 )
@@ -101,6 +102,37 @@ class TestRepositoryLookup:
         xml = serialize_policy_document(document_with(name="x", policies=[simple_policy("p")]))
         repo.load_xml(xml)
         assert repo.find_policy("p") is not None
+
+    def test_configuration_pairs_in_priority_order(self):
+        def configure(name, priority, *actions, triggers=("demo.configure",)):
+            return AdaptationPolicy(
+                name=name, triggers=triggers, actions=actions, priority=priority
+            )
+
+        late, early = RetryAction(max_retries=1), RetryAction(max_retries=2)
+        skip = SkipAction()
+        repo = PolicyRepository()
+        repo.load(document_with("late", [configure("late", 20, late)]))
+        repo.load(
+            document_with(
+                "early",
+                [
+                    configure("early", 10, skip, early),
+                    configure("other", 5, RetryAction(), triggers=("fault.*",)),
+                ],
+            )
+        )
+        pairs = repo.configuration("demo.configure", RetryAction)
+        assert [(policy.name, action) for policy, action in pairs] == [
+            ("early", early),
+            ("late", late),
+        ]
+        assert [a for _, a in repo.configuration("demo.configure", (SkipAction, RetryAction))] == [
+            skip,
+            early,
+            late,
+        ]
+        assert repo.configuration("missing.configure", RetryAction) == []
 
 
 class TestStatesAndLedger:

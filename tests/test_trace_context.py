@@ -268,3 +268,24 @@ class TestTracingPolicy:
         service.refresh_from_policies()
         tracer.start_span("wsbus.mediate").end()
         assert len(memory.spans) == 1  # the new trace was not sampled
+
+    def test_lower_priority_number_wins(self):
+        """Like federation config and load shedding, the first Tracing
+        action in priority order wins, whatever the load order."""
+
+        def tracing_document(name, priority, sample_rate):
+            return (
+                '<wsp:Policy xmlns:wsp="http://schemas.xmlsoap.org/ws/2004/09/policy"'
+                ' xmlns:masc="http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc"'
+                f' Name="{name}"><masc:AdaptationPolicy name="{name}-sampling"'
+                f' priority="{priority}" type="prevention">'
+                '<masc:On event="observability.tracing"/><masc:Actions>'
+                f'<masc:Tracing sampleRate="{sample_rate}"/>'
+                "</masc:Actions></masc:AdaptationPolicy></wsp:Policy>"
+            )
+
+        repository = PolicyRepository()
+        repository.load_xml(tracing_document("fallback", 20, 0.5))
+        repository.load_xml(tracing_document("primary", 10, 0.25))
+        service = TracingService(Tracer(clock=lambda: 0.0), repository)
+        assert service.action == TracingAction(sample_rate=0.25)
