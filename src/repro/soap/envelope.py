@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
-from repro.soap.addressing import AddressingHeaders
+from repro.soap.addressing import ADDRESSING_BLOCKS, AddressingHeaders
 from repro.soap.faults import SoapFault
 from repro.xmlutils import Element, QName, XmlError, parse_xml, serialize_xml
-from repro.xmlutils.element import _escape_cdata
+from repro.xmlutils.element import SizeRecord, _cdata_size, resolved_size, size_record
 
 __all__ = ["SOAP_ENV_NS", "SoapEnvelope", "SoapHeader"]
 
@@ -48,29 +48,110 @@ def _borrowed(
     return node
 
 
-#: Serialized envelope sizes memoized per shared *body* payload tree:
-#: body identity -> {addressing shape -> byte length before padding}. Two
-#: envelopes that share a body object and agree on which addressing fields
-#: are present and on each field's escaped byte length serialize to the same
-#: number of bytes (addressing blocks are flat text elements, and namespace
-#: prefix assignment depends only on the presence pattern and the body), so
-#: the expensive serialize-and-measure runs once per shape. Entries die with
-#: the body tree. Envelopes with extension headers or faults never consult
-#: the memo. Like the size cache itself, the memo relies on the middleware's
-#: copy-on-write discipline: shared body trees are replaced, never edited in
-#: place.
-_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, dict[tuple, int]]" = WeakKeyDictionary()
+class _BodySizes:
+    """What :attr:`SoapEnvelope.size_bytes` remembers about one body tree."""
+
+    __slots__ = ("record", "shapes")
+
+    def __init__(self, record: SizeRecord) -> None:
+        #: The body subtree's size record.
+        self.record = record
+        #: Addressing shape -> byte length before padding, for envelopes
+        #: with no visible extension header; created on first use.
+        self.shapes: dict[tuple, int] | None = None
+
+
+#: Size facts memoized per shared *body* tree, keyed by body identity.
+#: Workload generators intern their constant payloads, so thousands of
+#: envelopes share one body: the body's subtree is counted once, and an
+#: envelope with no visible extension header whose addressing shape (each
+#: field's escaped byte length, ``None`` when absent) was seen before is
+#: one dict lookup. Entries die with the body tree. Like the size cache
+#: itself, the memo relies on the middleware's copy-on-write discipline:
+#: shared body trees are replaced, never edited in place.
+_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, _BodySizes]" = WeakKeyDictionary()
 
 
 def _escaped_size(text: str | None) -> int | None:
-    # Inlined escaped_text_size: this runs six times per size-memo lookup.
+    # Inlined _cdata_size: this runs six times per size-memo lookup.
     # Addressing values are almost always plain ASCII URIs/URNs, where the
-    # escaped UTF-8 length is just the string length — skip the regex + encode.
+    # escaped UTF-8 length is just the string length.
     if text is None:
         return None
     if "&" not in text and "<" not in text and ">" not in text and text.isascii():
         return len(text)
-    return len(_escape_cdata(text).encode("utf-8"))
+    return _cdata_size(text)
+
+
+# -- arithmetic sizing -------------------------------------------------------------
+#
+# The serialized size of an envelope, composed from size records of its
+# parts in document order (see ``repro.xmlutils.element.resolved_size``):
+# the Envelope/Header/Body scaffold, the addressing blocks, the visible
+# extension headers and the body or fault. The scaffold and the addressing
+# blocks are flat, so their bytes follow from name and text lengths alone;
+# the functions below mirror the structure ``_wire_element`` builds.
+
+
+def _closed(local: str) -> int:
+    """Bytes of ``<local>`` + ``</local>`` (prefixes aside) around content."""
+    return 2 * len(local) + 5
+
+
+def _empty(local: str) -> int:
+    """Bytes of ``<local />`` (prefix aside)."""
+    return len(local) + 4
+
+
+#: (with text, empty, namespace) of each addressing block, in document order.
+_ADDRESSING_BLOCK_SIZES = tuple(
+    (_closed(name.local), _empty(name.local), name.namespace)
+    for _, name in ADDRESSING_BLOCKS
+)
+
+
+def _addressing_record(shape: tuple) -> SizeRecord:
+    """The addressing blocks' record, from their escaped text lengths."""
+    size = 0
+    uses: dict[str, int] = {}
+    for length, (closed, empty, uri) in zip(shape, _ADDRESSING_BLOCK_SIZES):
+        if length is None:
+            continue
+        if length:
+            size += closed + length
+            names = 2
+        else:  # the short <wsa:X /> form
+            size += empty
+            names = 1
+        uses[uri] = uses.get(uri, 0) + names
+    return size, tuple(uses.items())
+
+
+def _envelope_size(
+    shape: tuple, headers: list["SoapHeader"], content: SizeRecord | None
+) -> int:
+    """Serialized byte length of an envelope: its addressing ``shape``,
+    visible extension ``headers`` and body or fault ``content`` record."""
+    addressing = _addressing_record(shape)
+    records = [addressing]
+    records.extend(size_record(header._wire_element()) for header in headers)
+    soap_names = 2  # <soapenv:Envelope> and its end tag
+    size = _closed("Envelope")
+    if addressing[0] or headers:
+        size += _closed("Header")
+        soap_names += 2
+    else:
+        size += _empty("Header")
+        soap_names += 1
+    if content is not None:
+        records.append(content)
+        size += _closed("Body")
+        soap_names += 2
+    else:
+        size += _empty("Body")
+        soap_names += 1
+    # The scaffold goes first: the Envelope tag is the document's first name.
+    return resolved_size([(size, ((SOAP_ENV_NS, soap_names),)), *records])
 
 
 @dataclass
@@ -86,6 +167,20 @@ class SoapHeader:
     #: whether tracing is on or off — simulated timings never depend on
     #: whether anyone is watching.
     transparent: bool = False
+
+    def _wire_element(self) -> Element:
+        """The block as sent: the element itself, or with ``mustUnderstand``
+        set, a read-only wrapper that shares its subtree and adds the
+        attribute (the caller's element is never mutated)."""
+        element = self.element
+        if not self.must_understand:
+            return element
+        return _borrowed(
+            element.name,
+            element._children,
+            {**element.attributes, _MUST_UNDERSTAND_ATTR: "1"},
+            element.text,
+        )
 
 
 #: Fields whose reassignment changes the serialized form (and therefore
@@ -255,7 +350,7 @@ class SoapEnvelope:
             body.append(self.body.copy())
         return envelope
 
-    def _wire_element(self, visible_only: bool = False) -> Element:
+    def _wire_element(self) -> Element:
         """The serialization view of this envelope.
 
         Structurally identical to :meth:`to_element` (and serializes to the
@@ -264,22 +359,10 @@ class SoapEnvelope:
         (Envelope/Header/Body, the flat addressing blocks, and a shallow
         wrapper per ``mustUnderstand`` header) is allocated per call. The
         returned tree is a read-only view — callers that hand the tree out
-        for mutation must use :meth:`to_element`. With ``visible_only`` the
-        view drops transparent headers — the size-accounting form.
+        for mutation must use :meth:`to_element`.
         """
         header_children = self.addressing.to_elements()
-        for extension in self.headers:
-            if visible_only and extension.transparent:
-                continue
-            element = extension.element
-            if extension.must_understand:
-                element = _borrowed(
-                    element.name,
-                    element._children,
-                    {**element.attributes, _MUST_UNDERSTAND_ATTR: "1"},
-                    element.text,
-                )
-            header_children.append(element)
+        header_children.extend(header._wire_element() for header in self.headers)
         body_children: list[Element] = []
         if self.fault is not None:
             body_children.append(self.fault.to_element())
@@ -300,53 +383,61 @@ class SoapEnvelope:
     def size_bytes(self) -> int:
         """Serialized size plus padding; drives transport latency.
 
-        Serializing is by far the most expensive step of a simulated send,
-        and the same envelope's size is read several times per exchange
-        (latency sampling on each hop, invocation records), so the value is
-        cached. Reassigning any content field — including the retargeting
-        reassignment of ``addressing`` — invalidates the cache.
+        The size is computed, not measured: the exact UTF-8 byte length
+        :meth:`to_xml` would produce (transparent headers aside), composed
+        by arithmetic from size records of the envelope's parts without
+        writing any XML. The same envelope's size is read several times per
+        exchange (latency sampling on each hop, invocation records), so the
+        value is cached. Reassigning any content field — including the
+        retargeting reassignment of ``addressing`` — invalidates the cache.
 
-        On a cache miss, plain payload envelopes (no extension headers, no
-        fault) first consult the per-body size memo: workload generators
-        intern their constant payloads, so the thousands of envelopes that
-        share one payload tree pay for serialization once per addressing
-        shape instead of once per message.
+        The body's record is memoized per body tree, and an envelope with no
+        visible extension header first looks its addressing shape up in the
+        body's memo: workload generators intern their constant payloads, so
+        the thousands of envelopes that share one payload tree are sized
+        once per addressing shape.
 
         Transparent headers (observability metadata) never count: an
         envelope whose only extension headers are transparent sizes
         exactly like a headerless one, so the latency model — and every
-        simulated timing derived from it — is untouched by tracing.
+        simulated timing derived from it — is untouched by tracing. Without
+        transparent headers, ``size_bytes == len(to_xml().encode("utf-8"))
+        + padding``.
         """
         cached = self._size_cache
         if cached is not None:
             return cached
-        body = self.body
+        addressing = self.addressing
+        shape = (
+            _escaped_size(addressing.to),
+            _escaped_size(addressing.action),
+            _escaped_size(addressing.message_id),
+            _escaped_size(addressing.relates_to),
+            _escaped_size(addressing.reply_to),
+            _escaped_size(addressing.process_instance_id),
+        )
         headers = self.headers
-        if body is not None and (
-            not headers or all(header.transparent for header in headers)
-        ):
-            shapes = _BODY_SIZE_MEMO.get(body)
-            if shapes is None:
-                shapes = _BODY_SIZE_MEMO.setdefault(body, {})
-            addressing = self.addressing
-            shape = (
-                _escaped_size(addressing.to),
-                _escaped_size(addressing.action),
-                _escaped_size(addressing.message_id),
-                _escaped_size(addressing.relates_to),
-                _escaped_size(addressing.reply_to),
-                _escaped_size(addressing.process_instance_id),
-            )
-            size = shapes.get(shape)
-            if size is None:
-                size = shapes[shape] = len(
-                    serialize_xml(self._wire_element(visible_only=True)).encode("utf-8")
-                )
-            cached = size + self.padding
+        if headers:
+            headers = [header for header in headers if not header.transparent]
+        body = self.body
+        if body is None:
+            fault = self.fault
+            content = size_record(fault.to_element()) if fault is not None else None
+            size = _envelope_size(shape, headers, content)
         else:
-            cached = len(
-                serialize_xml(self._wire_element(visible_only=True)).encode("utf-8")
-            ) + self.padding
+            sizes = _BODY_SIZE_MEMO.get(body)
+            if sizes is None:
+                sizes = _BODY_SIZE_MEMO[body] = _BodySizes(size_record(body))
+            if headers:
+                size = _envelope_size(shape, headers, sizes.record)
+            else:
+                shapes = sizes.shapes
+                if shapes is None:
+                    shapes = sizes.shapes = {}
+                size = shapes.get(shape)
+                if size is None:
+                    size = shapes[shape] = _envelope_size(shape, headers, sizes.record)
+        cached = size + self.padding
         self._size_cache = cached
         return cached
 

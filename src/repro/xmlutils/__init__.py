@@ -12,10 +12,8 @@ selection and simple equality/comparison predicates.
 from repro.xmlutils.element import (
     Element,
     XmlError,
-    escaped_text_size,
     parse_xml,
     serialize_xml,
-    serialize_xml_reference,
 )
 from repro.xmlutils.qname import QName
 from repro.xmlutils.xpath import XPath, XPathError, xpath_evaluate, xpath_value
@@ -26,10 +24,8 @@ __all__ = [
     "XPath",
     "XPathError",
     "XmlError",
-    "escaped_text_size",
     "parse_xml",
     "serialize_xml",
-    "serialize_xml_reference",
     "xpath_evaluate",
     "xpath_value",
 ]

@@ -20,10 +20,10 @@ from repro.xmlutils.qname import QName
 __all__ = [
     "Element",
     "XmlError",
-    "escaped_text_size",
     "parse_xml",
+    "resolved_size",
     "serialize_xml",
-    "serialize_xml_reference",
+    "size_record",
 ]
 
 
@@ -161,7 +161,7 @@ def _to_etree(element: Element) -> ET.Element:
 # assignment in document order, same well-known prefixes (via ElementTree's
 # own registry, so ``ET.register_namespace`` keeps working), same escaping,
 # same ``<tag />`` short empty form — without ever materializing an etree.
-# ``serialize_xml_reference`` keeps the old path alive so tests can assert
+# Differential tests keep the ElementTree path as their reference and assert
 # the two stay bit-for-bit interchangeable.
 
 #: ElementTree's live well-known/registered prefix map ("for tests and
@@ -291,6 +291,100 @@ def _write_element(element: Element, out: list[str], table: _QNameTable, decl: s
         out.append(" />")
 
 
+# -- size-only serializer --------------------------------------------------------
+#
+# Message sizes drive the transport latency model, and most size reads need
+# the byte count but not the text. ``size_record`` walks a subtree exactly as
+# ``_write_element`` does but only counts: the UTF-8 bytes of everything
+# except namespace prefixes and ``xmlns`` declarations, plus how many
+# prefixed names each namespace URI contributes, keyed in first-appearance
+# document order. ``resolved_size`` runs the records of one document, in
+# document order, through ``_QNameTable._prefix`` — the serializer's own
+# prefix assignment — and adds the prefixes and the root's declarations.
+
+#: ``(bytes without prefixes or declarations, ((uri, prefixed names), ...))``
+SizeRecord = tuple[int, tuple[tuple[str, int], ...]]
+
+
+def _utf8_size(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _cdata_size(text: str) -> int:
+    """UTF-8 byte length of ``text`` written as element character data."""
+    if "&" in text or "<" in text or ">" in text:
+        text = _escape_cdata(text)
+    return _utf8_size(text)
+
+
+def _attrib_size(text: str) -> int:
+    """UTF-8 byte length of ``text`` written as an attribute value."""
+    if (
+        "&" in text
+        or "<" in text
+        or ">" in text
+        or '"' in text
+        or "\r" in text
+        or "\n" in text
+        or "\t" in text
+    ):
+        text = _escape_attrib(text)
+    return _utf8_size(text)
+
+
+def _count_element(element: Element, uses: dict[str, int]) -> int:
+    # The size-only twin of _write_element.
+    name = element.name
+    tag = _utf8_size(name.local)
+    text = element.text
+    children = element._children
+    closed = text or children
+    if name.namespace:
+        uses[name.namespace] = uses.get(name.namespace, 0) + (2 if closed else 1)
+    size = 1 + tag  # "<tag"
+    for key, value in element.attributes.items():
+        if key.startswith("{"):
+            uri, _, key = key[1:].rpartition("}")
+            uses[uri] = uses.get(uri, 0) + 1
+        size += 4 + _utf8_size(key) + _attrib_size(value)  # ' key="value"'
+    if not closed:
+        return size + 3  # " />"
+    size += 4 + tag  # ">" ... "</tag>"
+    if text:
+        size += _cdata_size(text)
+    for child in children:
+        size += _count_element(child, uses)
+    return size
+
+
+def size_record(element: Element) -> SizeRecord:
+    """The size record of ``element``'s subtree, for :func:`resolved_size`."""
+    uses: dict[str, int] = {}
+    size = _count_element(element, uses)
+    return size, tuple(uses.items())
+
+
+def resolved_size(records: Iterable[SizeRecord]) -> int:
+    """UTF-8 byte length of the document the ``records`` describe.
+
+    The records are the document's parts in document order (the first one
+    holding the root's name); the result equals
+    ``len(serialize_xml(root).encode("utf-8"))``.
+    """
+    table = _QNameTable()
+    prefix_of = table._prefix
+    size = 0
+    for fixed, uses in records:
+        size += fixed
+        for uri, count in uses:
+            prefix = prefix_of(uri)
+            if prefix:
+                size += count * (_utf8_size(prefix) + 1)  # "prefix:"
+    for uri, prefix in table.namespaces.items():
+        size += 10 + _utf8_size(prefix) + _attrib_size(uri)  # ' xmlns:p="uri"'
+    return size
+
+
 def _from_etree(node: ET.Element) -> Element:
     tag = node.tag
     if not isinstance(tag, str):
@@ -318,25 +412,6 @@ def serialize_xml(element: Element, indent: bool = False) -> str:
     out: list[str] = []
     _write_element(element, out, table, table.declarations())
     return "".join(out)
-
-
-def escaped_text_size(text: str) -> int:
-    """UTF-8 byte length of ``text`` once escaped as element character data.
-
-    This is exactly the number of bytes ``text`` contributes to a serialized
-    document, which lets callers predict how a serialized size changes when
-    only flat text fields change (the SOAP envelope size memo relies on it).
-    """
-    return len(_escape_cdata(text).encode("utf-8"))
-
-
-def serialize_xml_reference(element: Element, indent: bool = False) -> str:
-    """The ``xml.etree`` serialization path, kept as the reference
-    implementation for differential tests against :func:`serialize_xml`."""
-    tree = _to_etree(element)
-    if indent:
-        ET.indent(tree)
-    return ET.tostring(tree, encoding="unicode")
 
 
 def parse_xml(text: str) -> Element:

@@ -1,13 +1,37 @@
-"""Shared fixtures: a minimal echo/calc service world."""
+"""Shared fixtures: a minimal echo/calc service world, plus the slow
+reference twins (ElementTree serialization, serialize-and-measure envelope
+sizing) that the fast paths are tested against."""
 
 from __future__ import annotations
+
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
 from repro.services import ProcessingModel, ServiceContainer, SimulatedService
 from repro.simulation import Environment, RandomSource
+from repro.soap import SoapEnvelope
 from repro.transport import Network
 from repro.wsdl import MessageSchema, Operation, PartSchema, ServiceContract
+from repro.xmlutils import Element
+from repro.xmlutils.element import _to_etree
+
+
+def serialize_xml_reference(element: Element) -> str:
+    """The ``xml.etree`` serialization of ``element``: the reference that
+    differential tests hold ``serialize_xml`` to, byte for byte."""
+    return ET.tostring(_to_etree(element), encoding="unicode")
+
+
+def measured_size(envelope: SoapEnvelope) -> int:
+    """``envelope.size_bytes`` the slow way: serialize the envelope's wire
+    form without its transparent headers, measure it, add the padding."""
+    visible = replace(
+        envelope, headers=[h for h in envelope.headers if not h.transparent]
+    )
+    return len(visible.to_xml().encode("utf-8")) + envelope.padding
+
 
 ECHO_CONTRACT = ServiceContract(
     service_type="Echo",

@@ -1,25 +1,25 @@
 """The simulation-kernel fast path must not change simulated metrics.
 
-The envelope copy-on-write and size-cache optimizations only touch *how*
-values are computed, never the values: these tests pin that down by running
-the same seeded experiment twice — once on the fast path, once with the
-reference implementations (``deep_copy`` and uncached ``size_bytes``)
-monkeypatched back in — and asserting the per-record metric streams are
-identical, float for float.
+The envelope copy-on-write and arithmetic-sizing optimizations only touch
+*how* values are computed, never the values: these tests pin that down by
+running the same seeded experiment twice — once on the fast path, once with
+the reference implementations (``deep_copy`` and a ``size_bytes`` that
+serializes the visible wire form and measures it) monkeypatched back in —
+and asserting the per-record metric streams are identical, float for float.
 """
 
 from dataclasses import asdict
 
+from conftest import measured_size
 from repro.experiments import run_vep_configuration
+from repro.observability import InMemoryExporter, Tracer
 from repro.soap import SoapEnvelope
 
 
-def _uncached_size_bytes(self):
-    return len(self.to_xml().encode()) + self.padding
-
-
-def _run(seed):
-    row, _bus, result = run_vep_configuration(seed, clients=2, requests=40)
+def _run(seed, tracer=None):
+    row, _bus, result = run_vep_configuration(
+        seed, clients=2, requests=40, tracer=tracer
+    )
     records = [
         (
             record.caller,
@@ -37,14 +37,37 @@ def _run(seed):
     return asdict(row), records
 
 
+def _traced_run(seed):
+    tracer = Tracer()
+    tracer.add_exporter(InMemoryExporter())
+    try:
+        return _run(seed, tracer=tracer)
+    finally:
+        tracer.close()
+
+
 def test_fast_path_metrics_identical_to_reference(monkeypatch):
     fast = _run(seed=11)
     with monkeypatch.context() as patch:
         patch.setattr(SoapEnvelope, "copy", SoapEnvelope.deep_copy)
-        patch.setattr(SoapEnvelope, "size_bytes", property(_uncached_size_bytes))
+        patch.setattr(SoapEnvelope, "size_bytes", property(measured_size))
         reference = _run(seed=11)
     assert fast[0] == reference[0]  # Table1Row
     assert fast[1] == reference[1]  # full per-record stream
+
+
+def test_traced_fast_path_metrics_identical_to_reference(monkeypatch):
+    # Every hop carries a transparent masc:TraceContext header here, so an
+    # oracle that measured the whole wire form (headers included) would
+    # disagree with size_bytes on every record.
+    fast = _traced_run(seed=11)
+    with monkeypatch.context() as patch:
+        patch.setattr(SoapEnvelope, "copy", SoapEnvelope.deep_copy)
+        patch.setattr(SoapEnvelope, "size_bytes", property(measured_size))
+        reference = _traced_run(seed=11)
+    assert fast[0] == reference[0]  # Table1Row
+    assert fast[1] == reference[1]  # full per-record stream
+    assert fast == _run(seed=11)  # and tracing changes nothing simulated
 
 
 def test_copy_and_deep_copy_serialize_identically():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from conftest import measured_size, serialize_xml_reference
 from repro.soap import (
     AddressingHeaders,
+    SOAP_ENV_NS,
     FaultCode,
     SoapEnvelope,
     SoapFault,
@@ -11,7 +13,11 @@ from repro.soap import (
     new_message_id,
 )
 from repro.soap.faults import TRANSIENT_FAULT_CODES, timeout, unavailable
-from repro.xmlutils import Element
+from repro.xmlutils import Element, QName
+
+XML_NS = "http://www.w3.org/XML/1998/namespace"
+XS_NS = "http://www.w3.org/2001/XMLSchema"
+MUST_UNDERSTAND = QName(SOAP_ENV_NS, "mustUnderstand").clark()
 
 
 class TestAddressing:
@@ -168,8 +174,6 @@ class TestEnvelopeSharingSafety:
     """Envelope interning/borrowing must never leak state across messages."""
 
     def test_wire_serialization_matches_copying_reference(self):
-        from repro.xmlutils import serialize_xml_reference
-
         envelope = SoapEnvelope.request(
             "http://svc/a", "urn:op:x", Element("q", text="5 < 6 & more")
         )
@@ -177,8 +181,6 @@ class TestEnvelopeSharingSafety:
         assert envelope.to_xml() == serialize_xml_reference(envelope.to_element())
 
     def test_fault_wire_serialization_matches_copying_reference(self):
-        from repro.xmlutils import serialize_xml_reference
-
         request = SoapEnvelope.request("http://svc/a", "urn:op:x", Element("q"))
         reply = request.reply_fault(SoapFault(FaultCode.TIMEOUT, "too slow"))
         assert reply.to_xml() == serialize_xml_reference(reply.to_element())
@@ -263,3 +265,134 @@ class TestEnvelopeSharingSafety:
         b = SoapEnvelope.request("http://svc/b-longer", "urn:op:getCatalog", second)
         assert a.size_bytes == len(a.to_xml().encode("utf-8"))
         assert b.size_bytes == len(b.to_xml().encode("utf-8"))
+
+
+class TestArithmeticSizing:
+    """``size_bytes`` is computed, never serialized: each edge case below
+    must still equal the serializer-measured size of the visible wire form."""
+
+    def _request(self, body=None, **addressing):
+        envelope = SoapEnvelope.request(
+            "http://svc/a", "urn:op:x", body if body is not None else Element("q")
+        )
+        if addressing:
+            envelope.addressing = AddressingHeaders(**addressing)
+        return envelope
+
+    def test_empty_string_addressing_field_uses_the_short_form(self):
+        envelope = self._request(to="", action="urn:op:x", reply_to="")
+        assert "To />" in envelope.to_xml()
+        assert envelope.size_bytes == measured_size(envelope)
+
+    def test_all_addressing_fields_empty(self):
+        fields = ("to", "action", "message_id", "relates_to", "reply_to")
+        envelope = SoapEnvelope(
+            addressing=AddressingHeaders(
+                **dict.fromkeys(fields, ""), process_instance_id=""
+            )
+        )
+        assert envelope.size_bytes == measured_size(envelope)
+
+    def test_non_ascii_text_in_body_and_addressing(self):
+        body = Element("{urn:ordre}commande", text="héllo — 中文")
+        body.add("détail", text="naïve")
+        envelope = self._request(
+            body, to="http://svc/é", action="urn:op:数", process_instance_id="pi-ü"
+        )
+        assert envelope.size_bytes == measured_size(envelope)
+        assert envelope.size_bytes > len(envelope.to_xml())  # bytes, not chars
+
+    def test_escaped_characters_in_text_and_attributes(self):
+        special = 'a & b < c > d " e \r f \n g \t h'
+        body = Element("q", attributes={"note": special}, text=special)
+        body.add("inner", text=special, flag=special)
+        envelope = self._request(body, to="http://svc/a?x=1&y=<2>", action=special)
+        header = Element("{urn:ext}h", attributes={"v": special}, text=special)
+        envelope.add_header(header)
+        assert envelope.size_bytes == measured_size(envelope)
+
+    def test_empty_keyed_and_xml_attributes(self):
+        body = Element(
+            "{urn:x}q",
+            attributes={"{}plain": "v", "{%s}lang" % XML_NS: "en"},
+        )
+        body.append(Element("c", attributes={"{%s}space" % XML_NS: "preserve"}))
+        envelope = self._request(body)
+        assert "xml:lang" in envelope.to_xml()
+        assert envelope.size_bytes == measured_size(envelope)
+
+    def test_registered_namespace_inside_the_body(self):
+        body = Element("{urn:x}q")
+        body.add(QName(XS_NS, "element"), type="xs:string")
+        envelope = self._request(body)
+        assert "xs:element" in envelope.to_xml()
+        assert envelope.size_bytes == measured_size(envelope)
+
+    def test_more_than_ten_namespaces(self):
+        body = Element("{urn:root}q")
+        for index in range(12):
+            body.add(QName(f"urn:n{index}", "c"), text=str(index))
+        envelope = self._request(body, to="http://svc/a", process_instance_id="p")
+        assert "ns10:" in envelope.to_xml()
+        assert envelope.size_bytes == measured_size(envelope)
+
+    def test_must_understand_header_that_already_carries_the_attribute(self):
+        envelope = self._request()
+        envelope.add_header(Element("{urn:ext}h", text="meta"), must_understand=True)
+        parsed = SoapEnvelope.from_xml(envelope.to_xml())
+        assert parsed.headers[0].must_understand
+        assert MUST_UNDERSTAND in parsed.headers[0].element.attributes
+        assert parsed.size_bytes == measured_size(parsed)
+        assert parsed.size_bytes == envelope.size_bytes
+
+    def test_must_understand_overwrites_a_carried_value(self):
+        envelope = self._request()
+        header = Element("{urn:ext}h", attributes={MUST_UNDERSTAND: "false"})
+        envelope.add_header(header, must_understand=True)
+        assert envelope.size_bytes == measured_size(envelope)
+        plain = self._request()
+        plain.add_header(Element("{urn:ext}h", attributes={MUST_UNDERSTAND: "false"}))
+        assert plain.size_bytes == measured_size(plain)
+
+    def test_fault_with_a_detail_element(self):
+        detail = Element("{urn:diag}info", attributes={"{urn:diag}at": "t<1>"})
+        detail.add("k", text="v & w")
+        request = self._request()
+        reply = request.reply_fault(
+            SoapFault(
+                FaultCode.SERVICE_FAILURE, "bad — ü", actor="svc", detail=detail
+            )
+        )
+        assert reply.size_bytes == measured_size(reply)
+        bare = request.reply_fault(SoapFault(FaultCode.TIMEOUT, ""))
+        assert bare.size_bytes == measured_size(bare)
+
+    def test_padding_is_added_to_every_path(self):
+        body = Element("q", text="payload")
+        padded = SoapEnvelope.request("http://svc/a", "urn:op:x", body, padding=777)
+        padded.add_header(Element("{urn:ext}h"))
+        assert padded.size_bytes == measured_size(padded)
+        fault = padded.reply_fault(SoapFault(FaultCode.TIMEOUT, "slow"))
+        fault.padding = 5
+        assert fault.size_bytes == measured_size(fault)
+
+    def test_transparent_headers_are_on_the_wire_but_not_in_the_size(self):
+        envelope = self._request()
+        untraced = envelope.size_bytes
+        envelope.add_header(Element("{urn:trace}ctx", text="00-1"), transparent=True)
+        assert envelope.size_bytes == untraced == measured_size(envelope)
+        assert envelope.size_bytes < len(envelope.to_xml().encode("utf-8"))
+
+    def test_size_bytes_never_serializes(self, monkeypatch):
+        import repro.soap.envelope as envelope_module
+        import repro.xmlutils.element as element_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("size_bytes serialized the envelope")
+
+        monkeypatch.setattr(envelope_module, "serialize_xml", refuse)
+        monkeypatch.setattr(element_module, "_write_element", refuse)
+        envelope = self._request(Element("{urn:x}q", text="t"), to="")
+        envelope.add_header(Element("{urn:ext}h"), must_understand=True)
+        assert envelope.size_bytes > 0
+        assert envelope.reply_fault(SoapFault(FaultCode.TIMEOUT, "t")).size_bytes > 0

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.xmlutils import (
-    Element,
-    QName,
-    XmlError,
-    parse_xml,
-    serialize_xml,
-    serialize_xml_reference,
-)
+from conftest import serialize_xml_reference
+from repro.xmlutils import Element, QName, XmlError, parse_xml, serialize_xml
+from repro.xmlutils.element import resolved_size, size_record
 
 
 class TestQName:
@@ -237,6 +232,13 @@ class TestFastSerializerDifferential:
     def test_fast_path_output_reparses(self, name):
         tree = self.CORPUS[name]()
         assert parse_xml(serialize_xml(tree)).structurally_equal(tree)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_size_record_matches_serialized_length(self, name):
+        tree = self.CORPUS[name]()
+        assert resolved_size([size_record(tree)]) == len(
+            serialize_xml(tree).encode("utf-8")
+        )
 
     def test_serialization_does_not_mutate_the_tree(self):
         tree = _multi_namespace_tree()
