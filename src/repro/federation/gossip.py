@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from repro.observability import NULL_METRICS, NULL_TRACER
 from repro.simulation import RandomSource
+from repro.wsbus.qos import record_key
 
 __all__ = ["GossipAgent", "QoSGossip"]
-
-
-def _record_key(record):
-    return (record.finished_at, record.started_at, record.target, record.caller, record.operation)
 
 
 class GossipAgent:
@@ -29,11 +26,36 @@ class GossipAgent:
         #: Per-endpoint identity sets of every record known (locally
         #: observed or merged), so re-gossip never double-counts.
         self.known: dict[str, set] = {}
+        #: Per-endpoint newest windowed record at the last sync.
+        self._newest: dict = {}
 
     def sync_local(self) -> None:
-        """Fold locally observed records into the known set."""
+        """Fold locally observed records into the known set.
+
+        Only records after the previous sync's newest record are folded;
+        they are found by walking back from the window's tail to that
+        record by identity. This is exact because of an invariant of
+        :meth:`QoSGossip.run_round`: merges into this agent's window run
+        only right after a sync, and every merged record is added to
+        ``known``. So every record before the marker, wherever a merge's
+        re-sort put it, is known already, and local observations since are
+        appended after the marker (an invoker reports each record once, so
+        the marker object cannot reappear later in the window). A marker
+        evicted from the window walks the whole window, and a fresh agent
+        has no marker, so first registration and rejoin fold everything.
+        """
+        newest = self._newest
         for address, endpoint in self.qos.endpoints.items():
-            self.known.setdefault(address, set()).update(endpoint.records)
+            records = endpoint.records
+            marker = newest.get(address)
+            fresh = []
+            for record in reversed(records):
+                if record is marker:
+                    break
+                fresh.append(record)
+            self.known.setdefault(address, set()).update(fresh)
+            if records:
+                newest[address] = records[-1]
 
 
 class QoSGossip:
@@ -88,6 +110,8 @@ class QoSGossip:
         if len(participants) < 2:
             return 0
         self.rounds += 1
+        # Every participant syncs before any merge into its window: the
+        # delta walk of ``GossipAgent.sync_local`` depends on this order.
         for name in participants:
             self.agents[name].sync_local()
         moved = 0
@@ -109,7 +133,7 @@ class QoSGossip:
                 delta = source.known[address] - sink.known.get(address, set())
                 if not delta:
                     continue
-                fresh = sorted(delta, key=_record_key)
+                fresh = sorted(delta, key=record_key)
                 sink.qos.merge_records(address, fresh)
                 sink.known.setdefault(address, set()).update(delta)
                 moved += len(fresh)

@@ -91,6 +91,10 @@ class QoSThreshold:
     aggregate: str = "mean"  # mean | max | min | p95 | p99
 
     def __post_init__(self) -> None:
+        if self.metric not in ("response_time", "reliability", "availability", "throughput"):
+            raise ValueError(f"unknown QoS metric {self.metric!r}")
+        if self.window < 0:
+            raise ValueError(f"QoS threshold window must not be negative, got {self.window}")
         if self.operator not in ("lt", "lte", "gt", "gte"):
             raise ValueError(f"QoS threshold operator must be an ordering, got {self.operator!r}")
         if self.aggregate not in ("mean", "max", "min", "p95", "p99"):

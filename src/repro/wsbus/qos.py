@@ -17,11 +17,21 @@ assertions expect, and the best-endpoint query the selection service uses.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
-from repro.services import InvocationRecord
+from repro.services import InvocationOutcome, InvocationRecord
 
-__all__ = ["EndpointQoS", "QoSMeasurementService"]
+__all__ = ["EndpointQoS", "QoSMeasurementService", "record_key"]
+
+_SUCCESS = InvocationOutcome.SUCCESS
+_AGGREGATES = ("mean", "min", "max", "p95", "p99")
+
+
+def record_key(record: InvocationRecord) -> tuple:
+    """The order of a merged window: by completion, then start and parties."""
+    return (record.finished_at, record.started_at, record.target, record.caller, record.operation)
 
 
 @dataclass
@@ -33,6 +43,9 @@ class EndpointQoS:
     records: deque = field(default_factory=deque)
     total_invocations: int = 0
     total_failures: int = 0
+    #: Memoized views, query window -> (records in that window, their
+    #: successful durations sorted); emptied whenever the window changes.
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.records, deque) or self.records.maxlen != self.window:
@@ -40,33 +53,52 @@ class EndpointQoS:
 
     def add(self, record: InvocationRecord) -> None:
         self.records.append(record)
+        self._views.clear()
         self.total_invocations += 1
         if not record.succeeded:
             self.total_failures += 1
 
+    def replace_records(self, records) -> None:
+        """Replace the window's contents (keeping its newest ``window``)."""
+        self.records = deque(records, maxlen=self.window)
+        self._views.clear()
+
     # -- metric computations ---------------------------------------------------
 
-    def _recent(self, window: int) -> list[InvocationRecord]:
-        records = list(self.records)
-        return records[-window:] if window > 0 else records
+    def _recent(self, window: int) -> Iterable[InvocationRecord]:
+        records = self.records
+        if 0 < window < len(records):
+            return islice(records, len(records) - window, None)
+        return records
+
+    def _view(self, window: int) -> tuple[int, list[float]]:
+        view = self._views.get(window)
+        if view is None:
+            size = len(self.records)
+            durations = [
+                r.finished_at - r.started_at for r in self._recent(window) if r.outcome is _SUCCESS
+            ]
+            durations.sort()
+            view = self._views[window] = (min(window, size) if window > 0 else size, durations)
+        return view
 
     def sample_count(self, window: int = 0, successful_only: bool = False) -> int:
         """How many observations the window holds (adaptive-timeout input)."""
-        records = self._recent(window)
-        if successful_only:
-            return sum(1 for r in records if r.succeeded)
-        return len(records)
+        count, durations = self._view(window)
+        return len(durations) if successful_only else count
 
     def reliability(self, window: int = 0) -> float | None:
         """Ratio of successful invocations over total, in the window."""
-        records = self._recent(window)
-        if not records:
+        count, durations = self._view(window)
+        if not count:
             return None
-        return sum(1 for r in records if r.succeeded) / len(records)
+        return len(durations) / count
 
     def response_time(self, window: int = 0, aggregate: str = "mean") -> float | None:
         """Aggregate RTT over *successful* invocations in the window."""
-        durations = sorted(r.duration for r in self._recent(window) if r.succeeded)
+        if aggregate not in _AGGREGATES:
+            raise ValueError(f"unknown aggregate {aggregate!r}")
+        durations = self._view(window)[1]
         if not durations:
             return None
         if aggregate == "mean":
@@ -75,11 +107,9 @@ class EndpointQoS:
             return durations[0]
         if aggregate == "max":
             return durations[-1]
-        if aggregate in ("p95", "p99"):
-            quantile = 0.95 if aggregate == "p95" else 0.99
-            index = min(len(durations) - 1, int(round(quantile * (len(durations) - 1))))
-            return durations[index]
-        raise ValueError(f"unknown aggregate {aggregate!r}")
+        quantile = 0.95 if aggregate == "p95" else 0.99
+        index = min(len(durations) - 1, int(round(quantile * (len(durations) - 1))))
+        return durations[index]
 
     def availability(self, window: int = 0) -> float | None:
         """Observed availability: uptime fraction estimated from the
@@ -89,7 +119,7 @@ class EndpointQoS:
         duration (first failure start to last failure end) approximates
         time-to-recover as seen by callers.
         """
-        records = self._recent(window)
+        records = list(self._recent(window))
         if not records:
             return None
         horizon_start = records[0].started_at
@@ -132,7 +162,7 @@ class EndpointQoS:
           and ``None`` only when the window is empty or the successes
           carry no elapsed time to divide by (all instantaneous).
         """
-        records = self._recent(window)
+        records = list(self._recent(window))
         if not records:
             return None
         successes = [r for r in records if r.succeeded]
@@ -148,6 +178,8 @@ class QoSMeasurementService:
     """Collects invocation records and serves QoS aggregates."""
 
     def __init__(self, window: int = 500) -> None:
+        if window < 1:
+            raise ValueError(f"QoS window must hold at least one observation: {window}")
         self.window = window
         self.endpoints: dict[str, EndpointQoS] = {}
 
@@ -166,19 +198,6 @@ class QoSMeasurementService:
 
     # -- federation anti-entropy ---------------------------------------------------
 
-    def digest(self, limit: int = 0) -> dict[str, list[InvocationRecord]]:
-        """Per-endpoint observation digest for gossip exchange.
-
-        Returns the newest ``limit`` records per endpoint (all windowed
-        records when 0), keyed by address in sorted order so two buses
-        with the same observations produce identical digests.
-        """
-        out: dict[str, list[InvocationRecord]] = {}
-        for address in sorted(self.endpoints):
-            records = list(self.endpoints[address].records)
-            out[address] = records[-limit:] if limit > 0 else records
-        return out
-
     def merge_records(self, address: str, records) -> int:
         """Fold remotely observed records into an endpoint's rolling window.
 
@@ -192,19 +211,19 @@ class QoSMeasurementService:
         if endpoint is None:
             endpoint = EndpointQoS(address, window=self.window)
             self.endpoints[address] = endpoint
-        known = set(endpoint.records)
-        fresh = [r for r in records if r not in known]
+        window = endpoint.records
+        # Equal records finish at the same instant: a float set rules out
+        # almost every record without hashing it, and only a collision
+        # pays for the full comparison against the window.
+        finished = {r.finished_at for r in window}
+        fresh = [r for r in records if r.finished_at not in finished or r not in window]
         if not fresh:
             return 0
         for record in fresh:
             endpoint.total_invocations += 1
             if not record.succeeded:
                 endpoint.total_failures += 1
-        combined = sorted(
-            list(endpoint.records) + fresh,
-            key=lambda r: (r.finished_at, r.started_at, r.target, r.caller, r.operation),
-        )
-        endpoint.records = deque(combined, maxlen=endpoint.window)
+        endpoint.replace_records(sorted([*window, *fresh], key=record_key))
         return len(fresh)
 
     # -- queries ------------------------------------------------------------------

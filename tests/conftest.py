@@ -1,6 +1,7 @@
 """Shared fixtures: a minimal echo/calc service world, plus the slow
 reference twins (ElementTree serialization, serialize-and-measure envelope
-sizing) that the fast paths are tested against."""
+sizing, naive QoS window aggregates) that the fast paths are tested
+against."""
 
 from __future__ import annotations
 
@@ -31,6 +32,74 @@ def measured_size(envelope: SoapEnvelope) -> int:
         envelope, headers=[h for h in envelope.headers if not h.transparent]
     )
     return len(visible.to_xml().encode("utf-8")) + envelope.padding
+
+
+class ReferenceQoSWindow:
+    """One endpoint's QoS window, aggregated the naive way: the oracle
+    that ``EndpointQoS`` is held to, float for float.
+
+    Every query copies the window, filters it through the records'
+    ``succeeded``/``duration`` properties and sorts; a merge dedupes by
+    hashing the whole window and re-sorts by completion time.
+    """
+
+    def __init__(self, maxlen: int) -> None:
+        self.maxlen = maxlen
+        self.records: list = []
+        self.total_invocations = 0
+        self.total_failures = 0
+
+    def observe(self, record) -> None:
+        self.records = (self.records + [record])[-self.maxlen :]
+        self.total_invocations += 1
+        if not record.succeeded:
+            self.total_failures += 1
+
+    def merge(self, records) -> int:
+        known = set(self.records)
+        fresh = [r for r in records if r not in known]
+        if not fresh:
+            return 0
+        for record in fresh:
+            self.total_invocations += 1
+            if not record.succeeded:
+                self.total_failures += 1
+        combined = sorted(
+            self.records + fresh,
+            key=lambda r: (r.finished_at, r.started_at, r.target, r.caller, r.operation),
+        )
+        self.records = combined[-self.maxlen :]
+        return len(fresh)
+
+    def _recent(self, window: int) -> list:
+        records = list(self.records)
+        return records[-window:] if window > 0 else records
+
+    def sample_count(self, window: int = 0, successful_only: bool = False) -> int:
+        records = self._recent(window)
+        if successful_only:
+            return sum(1 for r in records if r.succeeded)
+        return len(records)
+
+    def reliability(self, window: int = 0) -> float | None:
+        records = self._recent(window)
+        if not records:
+            return None
+        return sum(1 for r in records if r.succeeded) / len(records)
+
+    def response_time(self, window: int = 0, aggregate: str = "mean") -> float | None:
+        durations = sorted(r.duration for r in self._recent(window) if r.succeeded)
+        if not durations:
+            return None
+        if aggregate == "mean":
+            return sum(durations) / len(durations)
+        if aggregate == "min":
+            return durations[0]
+        if aggregate == "max":
+            return durations[-1]
+        quantile = 0.95 if aggregate == "p95" else 0.99
+        index = min(len(durations) - 1, int(round(quantile * (len(durations) - 1))))
+        return durations[index]
 
 
 ECHO_CONTRACT = ServiceContract(

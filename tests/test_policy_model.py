@@ -229,6 +229,18 @@ class TestAssertions:
         with pytest.raises(ValueError):
             QoSThreshold("response_time", "lte", 1.0, aggregate="median")
 
+    def test_qos_threshold_rejects_unknown_metric(self):
+        with pytest.raises(ValueError, match="unknown QoS metric 'karma'"):
+            QoSThreshold("karma", "lte", 1.0)
+
+    def test_qos_threshold_rejects_negative_window(self):
+        with pytest.raises(ValueError, match="must not be negative"):
+            QoSThreshold("response_time", "lte", 1.0, window=-1)
+
+    def test_qos_threshold_accepts_every_measured_metric(self):
+        for metric in ("response_time", "reliability", "availability", "throughput"):
+            assert QoSThreshold(metric, "gte", 0.5, window=0).metric == metric
+
 
 class TestBusinessValue:
     def test_describe_signs(self):

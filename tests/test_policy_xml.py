@@ -211,6 +211,20 @@ class TestParsingErrors:
         with pytest.raises(PolicyError):
             parse_policy_document(xml)
 
+    @pytest.mark.parametrize(
+        "attributes", ['metric="karma" window="10"', 'metric="response_time" window="-5"']
+    )
+    def test_malformed_qos_threshold_fails_at_load(self, attributes):
+        xml = (
+            '<wsp:Policy xmlns:wsp="http://schemas.xmlsoap.org/ws/2004/09/policy" '
+            'xmlns:masc="http://masc.web.cse.unsw.edu.au/ns/ws-policy4masc" Name="d">'
+            '<masc:MonitoringPolicy name="m"><masc:On event="e"/>'
+            f'<masc:QoSThreshold {attributes} operator="lte" value="1.0"/>'
+            "</masc:MonitoringPolicy></wsp:Policy>"
+        )
+        with pytest.raises(ValueError):
+            parse_policy_document(xml)
+
     def test_ws_policy_operators_flattened(self):
         xml = (
             '<wsp:Policy xmlns:wsp="http://schemas.xmlsoap.org/ws/2004/09/policy" '

@@ -260,3 +260,62 @@ class TestBestEndpointAllFailureWindows:
         assert qos.best_endpoint(
             ["http://d1", "http://d2"], metric="availability"
         ) in ("http://d1", "http://d2")
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_service_rejects_windows_below_one(self, window):
+        with pytest.raises(ValueError, match="at least one observation"):
+            QoSMeasurementService(window=window)
+
+    def test_bus_rejects_empty_qos_window(self, env, network):
+        from repro.wsbus import WsBus
+
+        with pytest.raises(ValueError, match="at least one observation"):
+            WsBus(env, network, qos_window=0)
+
+    def test_fleet_rejects_empty_qos_window(self, env, network):
+        from repro.federation import BusFleet
+
+        with pytest.raises(ValueError, match="at least one observation"):
+            BusFleet(env, network, shards=1, qos_window=0)
+
+    def test_unknown_aggregate_rejected_on_empty_window(self):
+        with pytest.raises(ValueError, match="unknown aggregate"):
+            EndpointQoS("http://a").response_time(0, "median")
+        qos = QoSMeasurementService()
+        qos.observe(record(ok=False))
+        with pytest.raises(ValueError, match="unknown aggregate"):
+            qos.lookup("response_time", 0, "median", "http://a")
+
+
+class TestMemoizedViews:
+    def test_view_is_reused_until_the_window_changes(self):
+        qos = QoSMeasurementService()
+        qos.observe(record(duration=0.2))
+        endpoint = qos.endpoint("http://a")
+        assert endpoint.response_time(50) == 0.2
+        view = endpoint._views[50]
+        assert endpoint.reliability(50) == 1.0
+        assert endpoint._views[50] is view
+        qos.observe(record(duration=0.4))
+        assert endpoint._views == {}
+        assert endpoint.response_time(50) == (0.2 + 0.4) / 2
+
+    def test_merge_replaces_the_window_and_its_views(self):
+        qos = QoSMeasurementService(window=2)
+        qos.observe(record(start=1.0, duration=0.1))
+        endpoint = qos.endpoint("http://a")
+        assert endpoint.sample_count() == 1
+        assert qos.merge_records("http://a", [record(start=0.0, duration=0.5)]) == 1
+        assert endpoint._views == {}
+        assert endpoint.sample_count() == 2
+        assert endpoint.response_time(0, "max") == 0.5
+
+    def test_merge_dedupes_equal_records_with_colliding_finish_times(self):
+        qos = QoSMeasurementService()
+        qos.observe(record(start=0.0, duration=1.0))
+        # Same finish time, different record: new. An equal copy: not new.
+        assert qos.merge_records("http://a", [record(start=0.5, duration=0.5)]) == 1
+        assert qos.merge_records("http://a", [record(start=0.0, duration=1.0)]) == 0
+        assert qos.endpoint("http://a").total_invocations == 2
