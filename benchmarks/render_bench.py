@@ -65,7 +65,7 @@ def render_markdown(results: dict) -> str:
     copy = results.get("envelope_copy")
     if copy:
         micro_rows.append(
-            ["`SoapEnvelope.copy` vs `deep_copy`", f"{copy['speedup']:.1f}x"]
+            ["`SoapEnvelope.copy` vs a deep copy", f"{copy['speedup']:.1f}x"]
         )
     expr = results.get("expression_eval")
     if expr:

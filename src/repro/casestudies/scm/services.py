@@ -358,7 +358,7 @@ class RetailerService(SimulatedService):
         for address in self.warehouse_addresses:
             try:
                 response = yield from self.invoker.invoke(
-                    address, "shipGoods", request.copy(), timeout=10.0
+                    address, "shipGoods", request, timeout=10.0
                 )
             except SoapFaultError:
                 continue  # warehouse unreachable: fall through to the next

@@ -134,9 +134,9 @@ class ServiceContainer:
         # Fall back to the payload's root element name matching an input
         # message, for callers that do not set a WSA action.
         if request.body is not None:
-            for candidate in service.contract.operations:
-                if candidate.input.element_name == request.body.name.local:
-                    return candidate.name
+            candidate = service.contract.operation_for_element(request.body.name.local)
+            if candidate is not None:
+                return candidate.name
         return SoapFault(
             FaultCode.CLIENT,
             f"no operation of {service.service_type!r} matches action {action!r}",

@@ -14,7 +14,13 @@ from weakref import WeakKeyDictionary
 from repro.soap.addressing import ADDRESSING_BLOCKS, AddressingHeaders
 from repro.soap.faults import SoapFault
 from repro.xmlutils import Element, QName, XmlError, parse_xml, serialize_xml
-from repro.xmlutils.element import SizeRecord, _cdata_size, resolved_size, size_record
+from repro.xmlutils.element import (
+    PrefixMemo,
+    SizeRecord,
+    _cdata_size,
+    resolved_size,
+    size_record,
+)
 
 __all__ = ["SOAP_ENV_NS", "SoapEnvelope", "SoapHeader"]
 
@@ -48,28 +54,20 @@ def _borrowed(
     return node
 
 
-class _BodySizes:
-    """What :attr:`SoapEnvelope.size_bytes` remembers about one body tree."""
-
-    __slots__ = ("record", "shapes")
-
-    def __init__(self, record: SizeRecord) -> None:
-        #: The body subtree's size record.
-        self.record = record
-        #: Addressing shape -> byte length before padding, for envelopes
-        #: with no visible extension header; created on first use.
-        self.shapes: dict[tuple, int] | None = None
-
-
-#: Size facts memoized per shared *body* tree, keyed by body identity.
+#: Size records memoized per shared *body* tree, keyed by body identity.
 #: Workload generators intern their constant payloads, so thousands of
-#: envelopes share one body: the body's subtree is counted once, and an
-#: envelope with no visible extension header whose addressing shape (each
-#: field's escaped byte length, ``None`` when absent) was seen before is
-#: one dict lookup. Entries die with the body tree. Like the size cache
-#: itself, the memo relies on the middleware's copy-on-write discipline:
-#: shared body trees are replaced, never edited in place.
-_BODY_SIZE_MEMO: "WeakKeyDictionary[Element, _BodySizes]" = WeakKeyDictionary()
+#: envelopes share one body, and its subtree is counted once. Entries die
+#: with the body tree. Like the size cache itself, the memo relies on the
+#: middleware's copy-on-write discipline: shared body trees are replaced,
+#: never edited in place.
+_BODY_RECORDS: "WeakKeyDictionary[Element, SizeRecord]" = WeakKeyDictionary()
+
+#: Byte length, apart from the content's own fixed bytes, of an envelope
+#: with no visible extension header, by (addressing shape, content
+#: ``uses``): the scaffold, the addressing blocks and every prefix and
+#: declaration follow from those two alone. Fresh payloads of one message
+#: type share an entry, so their size is a record count plus one lookup.
+_BARE_SIZES = PrefixMemo(1024)
 
 
 def _escaped_size(text: str | None) -> int | None:
@@ -110,8 +108,18 @@ _ADDRESSING_BLOCK_SIZES = tuple(
 )
 
 
+#: Addressing records by shape. A run sees a handful of shapes (the
+#: message-id and address lengths barely vary), so the record is built once
+#: per shape; emptied when it reaches ``_ADDRESSING_LIMIT`` entries.
+_ADDRESSING_RECORDS: dict[tuple, SizeRecord] = {}
+_ADDRESSING_LIMIT = 1024
+
+
 def _addressing_record(shape: tuple) -> SizeRecord:
     """The addressing blocks' record, from their escaped text lengths."""
+    record = _ADDRESSING_RECORDS.get(shape)
+    if record is not None:
+        return record
     size = 0
     uses: dict[str, int] = {}
     for length, (closed, empty, uri) in zip(shape, _ADDRESSING_BLOCK_SIZES):
@@ -124,7 +132,11 @@ def _addressing_record(shape: tuple) -> SizeRecord:
             size += empty
             names = 1
         uses[uri] = uses.get(uri, 0) + names
-    return size, tuple(uses.items())
+    record = size, tuple(uses.items())
+    if len(_ADDRESSING_RECORDS) >= _ADDRESSING_LIMIT:
+        _ADDRESSING_RECORDS.clear()
+    _ADDRESSING_RECORDS[shape] = record
+    return record
 
 
 def _envelope_size(
@@ -287,32 +299,15 @@ class SoapEnvelope:
         enrich a payload copy it first), and it removes a deep element-tree
         copy from every delivery attempt made by ``WsBus._send`` and
         ``RetryQueue._redeliver``. The serialized-size cache carries over;
-        reassigning any content field on the copy invalidates it. Use
-        :meth:`deep_copy` when the copy's trees must be private.
+        reassigning any content field on the copy invalidates it. A caller
+        that must edit a tree in place copies that tree first
+        (``Element.copy``) and assigns the copy.
         """
         duplicate = SoapEnvelope.__new__(SoapEnvelope)
         state = duplicate.__dict__
         state.update(self.__dict__)
         state["headers"] = list(self.headers)
         return duplicate
-
-    def deep_copy(self) -> "SoapEnvelope":
-        """A fully private copy: header blocks and body trees are cloned.
-
-        This is the pre-fast-path :meth:`copy` semantics, kept for callers
-        that intend to mutate element trees in place and as the reference
-        implementation for the equivalence tests and microbenchmarks.
-        """
-        return SoapEnvelope(
-            addressing=self.addressing,
-            headers=[
-                SoapHeader(h.element.copy(), h.must_understand, h.transparent)
-                for h in self.headers
-            ],
-            body=self.body.copy() if self.body is not None else None,
-            fault=self.fault,
-            padding=self.padding,
-        )
 
     def header(self, name: QName | str) -> Element | None:
         """The first extension header with the given qualified name."""
@@ -391,11 +386,12 @@ class SoapEnvelope:
         value is cached. Reassigning any content field — including the
         retargeting reassignment of ``addressing`` — invalidates the cache.
 
-        The body's record is memoized per body tree, and an envelope with no
-        visible extension header first looks its addressing shape up in the
-        body's memo: workload generators intern their constant payloads, so
-        the thousands of envelopes that share one payload tree are sized
-        once per addressing shape.
+        The body's record is memoized per body tree (workload generators
+        intern their constant payloads, so thousands of envelopes count one
+        payload tree once). An envelope with no visible extension header is
+        its content's fixed bytes plus one memoized length per addressing
+        shape and content namespace signature, so a fresh payload costs
+        one count of its own subtree.
 
         Transparent headers (observability metadata) never count: an
         envelope whose only extension headers are transparent sizes
@@ -420,23 +416,25 @@ class SoapEnvelope:
         if headers:
             headers = [header for header in headers if not header.transparent]
         body = self.body
-        if body is None:
-            fault = self.fault
-            content = size_record(fault.to_element()) if fault is not None else None
+        if body is not None:
+            content = _BODY_RECORDS.get(body)
+            if content is None:
+                content = _BODY_RECORDS[body] = size_record(body)
+        elif self.fault is not None:
+            content = size_record(self.fault.to_element())
+        else:
+            content = None
+        if headers:
             size = _envelope_size(shape, headers, content)
         else:
-            sizes = _BODY_SIZE_MEMO.get(body)
-            if sizes is None:
-                sizes = _BODY_SIZE_MEMO[body] = _BodySizes(size_record(body))
-            if headers:
-                size = _envelope_size(shape, headers, sizes.record)
-            else:
-                shapes = sizes.shapes
-                if shapes is None:
-                    shapes = sizes.shapes = {}
-                size = shapes.get(shape)
-                if size is None:
-                    size = shapes[shape] = _envelope_size(shape, headers, sizes.record)
+            fixed, uses = content if content is not None else (0, None)
+            bare = _BARE_SIZES.current()
+            key = (shape, uses)
+            size = bare.get(key)
+            if size is None:
+                prefix_free = None if content is None else (0, uses)
+                size = bare.remember(key, _envelope_size(shape, headers, prefix_free))
+            size += fixed
         cached = size + self.padding
         self._size_cache = cached
         return cached

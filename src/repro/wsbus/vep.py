@@ -495,9 +495,9 @@ class VirtualEndpoint:
             if self.contract.has_operation(candidate):
                 return candidate
         if request.body is not None:
-            for candidate_op in self.contract.operations:
-                if candidate_op.input.element_name == request.body.name.local:
-                    return candidate_op.name
+            candidate_op = self.contract.operation_for_element(request.body.name.local)
+            if candidate_op is not None:
+                return candidate_op.name
         return None
 
     def abstract_wsdl(self, indent: bool = True) -> str:

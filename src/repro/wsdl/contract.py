@@ -10,7 +10,7 @@ abstract WSDL for accessing the configured services".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from weakref import WeakKeyDictionary
 
 from repro.soap import FaultCode
@@ -33,11 +33,22 @@ class ContractViolation(Exception):
         self.violations = violations or [message]
 
 
+def _xsd_boolean(text: str) -> bool:
+    """An ``xs:boolean``: ``true``, ``false``, ``1`` or ``0`` (whitespace
+    collapsed); anything else raises ``ValueError``."""
+    value = text.strip(" \t\r\n")
+    if value in ("true", "1"):
+        return True
+    if value in ("false", "0"):
+        return False
+    raise ValueError(f"not an xs:boolean: {text!r}")
+
+
 _CASTS = {
     "string": str,
     "int": int,
     "float": float,
-    "bool": lambda v: v in ("true", "1", "True"),
+    "bool": _xsd_boolean,
 }
 
 
@@ -85,18 +96,29 @@ class MessageSchema:
             violations.extend(part.validate(payload))
         return violations
 
+    @cached_property
+    def _part_names(self) -> dict[str, QName]:
+        """Each declared part's child element name, parsed once per schema."""
+        return {part.name: QName.parse(part.name) for part in self.parts}
+
+    @cached_property
+    def _required(self) -> tuple[str, ...]:
+        return tuple(part.name for part in self.parts if part.required)
+
     def build(self, namespace: str = "", **parts: object) -> Element:
         """Construct a conforming payload from keyword parts."""
         root = Element(QName(namespace, self.element_name))
-        known = {part.name for part in self.parts}
+        names = self._part_names
+        children = root._children  # a fresh root: append without reparenting
         for name, value in parts.items():
-            if name not in known:
+            qname = names.get(name)
+            if qname is None:
                 raise ContractViolation(f"unknown part {name!r} for {self.element_name!r}")
             text = "true" if value is True else "false" if value is False else str(value)
-            root.add(name, text=text)
-        missing = [
-            part.name for part in self.parts if part.required and part.name not in parts
-        ]
+            child = Element(qname, text=text)
+            child.parent = root
+            children.append(child)
+        missing = [name for name in self._required if name not in parts]
         if missing:
             raise ContractViolation(f"missing required parts {missing} for {self.element_name!r}")
         return root
@@ -154,6 +176,13 @@ class Operation:
         return f"urn:{service_type}:{self.name}"
 
 
+def _first_by(operations, key) -> dict:
+    table: dict = {}
+    for operation in operations:
+        table.setdefault(key(operation), operation)
+    return table
+
+
 @dataclass(frozen=True)
 class ServiceContract:
     """An abstract service interface: a service type plus its operations."""
@@ -162,21 +191,40 @@ class ServiceContract:
     operations: tuple[Operation, ...] = ()
     namespace: str = ""
 
+    # Dispatch tables, compiled once per contract. Each keeps the first
+    # operation with a given key, as a scan of ``operations`` would find it.
+
+    @cached_property
+    def _by_name(self) -> dict[str, Operation]:
+        return _first_by(self.operations, lambda operation: operation.name)
+
+    @cached_property
+    def _by_action(self) -> dict[str, Operation]:
+        return _first_by(
+            self.operations, lambda operation: operation.soap_action(self.service_type)
+        )
+
+    @cached_property
+    def _by_element(self) -> dict[str, Operation]:
+        return _first_by(self.operations, lambda operation: operation.input.element_name)
+
     def operation(self, name: str) -> Operation:
-        for operation in self.operations:
-            if operation.name == name:
-                return operation
-        raise KeyError(f"contract {self.service_type!r} has no operation {name!r}")
+        operation = self._by_name.get(name)
+        if operation is None:
+            raise KeyError(f"contract {self.service_type!r} has no operation {name!r}")
+        return operation
 
     def has_operation(self, name: str) -> bool:
-        return any(operation.name == name for operation in self.operations)
+        return name in self._by_name
 
     def operation_for_action(self, action: str) -> Operation | None:
         """Resolve a WSA action URI back to an operation."""
-        for operation in self.operations:
-            if operation.soap_action(self.service_type) == action:
-                return operation
-        return None
+        return self._by_action.get(action)
+
+    def operation_for_element(self, local: str) -> Operation | None:
+        """The first operation whose input message's root element is named
+        ``local``: dispatch for callers that set no WSA action."""
+        return self._by_element.get(local)
 
     def validate_request(self, operation_name: str, payload: Element) -> None:
         schema = self.operation(operation_name).input

@@ -19,6 +19,7 @@ from repro.xmlutils.qname import QName
 
 __all__ = [
     "Element",
+    "PrefixMemo",
     "XmlError",
     "parse_xml",
     "resolved_size",
@@ -301,6 +302,8 @@ def _write_element(element: Element, out: list[str], table: _QNameTable, decl: s
 # document order. ``resolved_size`` runs the records of one document, in
 # document order, through ``_QNameTable._prefix`` — the serializer's own
 # prefix assignment — and adds the prefixes and the root's declarations.
+# That prefix cost is a function of the records' ``uses`` alone, so it is
+# memoized per namespace signature.
 
 #: ``(bytes without prefixes or declarations, ((uri, prefixed names), ...))``
 SizeRecord = tuple[int, tuple[tuple[str, int], ...]]
@@ -364,18 +367,49 @@ def size_record(element: Element) -> SizeRecord:
     return size, tuple(uses.items())
 
 
-def resolved_size(records: Iterable[SizeRecord]) -> int:
-    """UTF-8 byte length of the document the ``records`` describe.
+class PrefixMemo(dict):
+    """A bounded memo of byte counts that include namespace prefixes.
 
-    The records are the document's parts in document order (the first one
-    holding the root's name); the result equals
-    ``len(serialize_xml(root).encode("utf-8"))``.
+    Prefixes come from ElementTree's registry, which
+    ``ET.register_namespace`` may change at any time: :meth:`current`
+    empties the memo when the registry differs from the one its values
+    were computed under. :meth:`remember` empties it when it holds
+    ``limit`` entries, so unbounded key streams cannot grow it.
     """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+        self.registry = dict(_ET_PREFIXES)
+
+    def current(self) -> "PrefixMemo":
+        """This memo, emptied first if the prefix registry has changed."""
+        if _ET_PREFIXES != self.registry:
+            self.clear()
+            self.registry = dict(_ET_PREFIXES)
+        return self
+
+    def remember(self, key, value: int) -> int:
+        if len(self) >= self.limit:
+            self.clear()
+        self[key] = value
+        return value
+
+
+#: Prefix-and-declaration bytes per namespace signature: the ordered tuple
+#: of a document's records' ``uses``. Prefix assignment depends on nothing
+#: but that sequence (and the registry), never on text, so the few message
+#: shapes of a run each pay one prefix walk.
+_SIGNATURE_COSTS = PrefixMemo(1024)
+
+
+def _signature_cost(signature: tuple[tuple[tuple[str, int], ...], ...]) -> int:
+    """Prefix and ``xmlns`` declaration bytes of a document whose records
+    have the ``uses`` in ``signature``, in document order."""
     table = _QNameTable()
     prefix_of = table._prefix
     size = 0
-    for fixed, uses in records:
-        size += fixed
+    for uses in signature:
         for uri, count in uses:
             prefix = prefix_of(uri)
             if prefix:
@@ -383,6 +417,27 @@ def resolved_size(records: Iterable[SizeRecord]) -> int:
     for uri, prefix in table.namespaces.items():
         size += 10 + _utf8_size(prefix) + _attrib_size(uri)  # ' xmlns:p="uri"'
     return size
+
+
+def resolved_size(records: Iterable[SizeRecord]) -> int:
+    """UTF-8 byte length of the document the ``records`` describe.
+
+    The records are the document's parts in document order (the first one
+    holding the root's name); the result equals
+    ``len(serialize_xml(root).encode("utf-8"))``: the records' fixed bytes
+    plus the memoized prefix cost of their namespace signature.
+    """
+    fixed = 0
+    signature = []
+    for size, uses in records:
+        fixed += size
+        signature.append(uses)
+    key = tuple(signature)
+    costs = _SIGNATURE_COSTS.current()
+    cost = costs.get(key)
+    if cost is None:
+        cost = costs.remember(key, _signature_cost(key))
+    return fixed + cost
 
 
 def _from_etree(node: ET.Element) -> Element:

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 __all__ = ["QName"]
 
+#: Parsed names by source text, so every parse of one string returns one
+#: shared (immutable) object. A simulated run parses a few dozen distinct
+#: names tens of thousands of times; the memo is emptied when it reaches
+#: ``_PARSED_LIMIT`` entries, so unique strings cannot grow it without bound.
+_PARSED: dict[str, "QName"] = {}
+_PARSED_LIMIT = 4096
+
 
 class QName:
     """An XML qualified name: a (namespace URI, local part) pair.
@@ -25,7 +32,23 @@ class QName:
 
     @classmethod
     def parse(cls, text: str) -> "QName":
-        """Parse Clark notation (``{uri}local``) or a bare local name."""
+        """Parse Clark notation (``{uri}local``) or a bare local name.
+
+        Plain ``QName`` results are interned: equal texts give the same
+        object. Subclasses always get a fresh instance of their own type.
+        """
+        if cls is not QName:
+            return cls._parse(text)
+        name = _PARSED.get(text)
+        if name is None:
+            name = cls._parse(text)
+            if len(_PARSED) >= _PARSED_LIMIT:
+                _PARSED.clear()
+            _PARSED[text] = name
+        return name
+
+    @classmethod
+    def _parse(cls, text: str) -> "QName":
         if text.startswith("{"):
             uri, _, local = text[1:].partition("}")
             return cls(uri, local)
@@ -36,11 +59,21 @@ class QName:
         return f"{{{self.namespace}}}{self.local}" if self.namespace else self.local
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QName):
-            return self.namespace == other.namespace and self.local == other.local
+        if self is other:
+            return True
         if isinstance(other, str):
-            return self == QName.parse(other)
-        return NotImplemented
+            try:
+                other = QName.parse(other)
+            except ValueError:  # not a name at all, so not this one
+                return False
+        elif not isinstance(other, QName):
+            return NotImplemented
+        return self.namespace == other.namespace and self.local == other.local
+
+    def __reduce__(self):
+        # Pickle through the constructor: the default slot-state restore
+        # would assign attributes, which an immutable QName refuses.
+        return type(self), (self.namespace, self.local)
 
     def __hash__(self) -> int:
         return hash((self.namespace, self.local))

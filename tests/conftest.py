@@ -1,7 +1,7 @@
 """Shared fixtures: a minimal echo/calc service world, plus the slow
-reference twins (ElementTree serialization, serialize-and-measure envelope
-sizing, naive QoS window aggregates) that the fast paths are tested
-against."""
+reference twins (ElementTree serialization, the unmemoized prefix walk,
+serialize-and-measure envelope sizing, the fully private envelope copy,
+naive QoS window aggregates) that the fast paths are tested against."""
 
 from __future__ import annotations
 
@@ -12,17 +12,38 @@ import pytest
 
 from repro.services import ProcessingModel, ServiceContainer, SimulatedService
 from repro.simulation import Environment, RandomSource
-from repro.soap import SoapEnvelope
+from repro.soap import SoapEnvelope, SoapHeader
 from repro.transport import Network
 from repro.wsdl import MessageSchema, Operation, PartSchema, ServiceContract
 from repro.xmlutils import Element
-from repro.xmlutils.element import _to_etree
+from repro.xmlutils.element import (
+    _QNameTable,
+    _attrib_size,
+    _to_etree,
+    _utf8_size,
+)
 
 
 def serialize_xml_reference(element: Element) -> str:
     """The ``xml.etree`` serialization of ``element``: the reference that
     differential tests hold ``serialize_xml`` to, byte for byte."""
     return ET.tostring(_to_etree(element), encoding="unicode")
+
+
+def resolved_size_reference(records) -> int:
+    """``resolved_size`` without its signature memo: every call runs the
+    records' namespace uses through a fresh prefix table."""
+    table = _QNameTable()
+    size = 0
+    for fixed, uses in records:
+        size += fixed
+        for uri, count in uses:
+            prefix = table._prefix(uri)
+            if prefix:
+                size += count * (_utf8_size(prefix) + 1)
+    for uri, prefix in table.namespaces.items():
+        size += 10 + _utf8_size(prefix) + _attrib_size(uri)
+    return size
 
 
 def measured_size(envelope: SoapEnvelope) -> int:
@@ -32,6 +53,22 @@ def measured_size(envelope: SoapEnvelope) -> int:
         envelope, headers=[h for h in envelope.headers if not h.transparent]
     )
     return len(visible.to_xml().encode("utf-8")) + envelope.padding
+
+
+def deep_copy(envelope: SoapEnvelope) -> SoapEnvelope:
+    """A fully private copy of ``envelope``: header blocks and the body tree
+    are cloned. The reference twin of the header-shallow
+    ``SoapEnvelope.copy``, which shares them by reference."""
+    return SoapEnvelope(
+        addressing=envelope.addressing,
+        headers=[
+            SoapHeader(h.element.copy(), h.must_understand, h.transparent)
+            for h in envelope.headers
+        ],
+        body=envelope.body.copy() if envelope.body is not None else None,
+        fault=envelope.fault,
+        padding=envelope.padding,
+    )
 
 
 class ReferenceQoSWindow:

@@ -3,14 +3,14 @@
 The envelope copy-on-write and arithmetic-sizing optimizations only touch
 *how* values are computed, never the values: these tests pin that down by
 running the same seeded experiment twice — once on the fast path, once with
-the reference implementations (``deep_copy`` and a ``size_bytes`` that
-serializes the visible wire form and measures it) monkeypatched back in —
-and asserting the per-record metric streams are identical, float for float.
+the reference implementations (the fully private ``deep_copy`` and a
+``size_bytes`` that serializes the visible wire form and measures it, both
+in ``conftest``) monkeypatched back in — and asserting the per-record metric streams are identical, float for float.
 """
 
 from dataclasses import asdict
 
-from conftest import measured_size
+from conftest import deep_copy, measured_size
 from repro.experiments import run_vep_configuration
 from repro.observability import InMemoryExporter, Tracer
 from repro.soap import SoapEnvelope
@@ -49,7 +49,7 @@ def _traced_run(seed):
 def test_fast_path_metrics_identical_to_reference(monkeypatch):
     fast = _run(seed=11)
     with monkeypatch.context() as patch:
-        patch.setattr(SoapEnvelope, "copy", SoapEnvelope.deep_copy)
+        patch.setattr(SoapEnvelope, "copy", deep_copy)
         patch.setattr(SoapEnvelope, "size_bytes", property(measured_size))
         reference = _run(seed=11)
     assert fast[0] == reference[0]  # Table1Row
@@ -62,7 +62,7 @@ def test_traced_fast_path_metrics_identical_to_reference(monkeypatch):
     # disagree with size_bytes on every record.
     fast = _traced_run(seed=11)
     with monkeypatch.context() as patch:
-        patch.setattr(SoapEnvelope, "copy", SoapEnvelope.deep_copy)
+        patch.setattr(SoapEnvelope, "copy", deep_copy)
         patch.setattr(SoapEnvelope, "size_bytes", property(measured_size))
         reference = _traced_run(seed=11)
     assert fast[0] == reference[0]  # Table1Row
@@ -77,5 +77,5 @@ def test_copy_and_deep_copy_serialize_identically():
         "http://svc/a", "urn:op:x", Element("q", text="payload"), padding=256
     )
     envelope.add_header(Element("h", text="meta"))
-    assert envelope.copy().to_xml() == envelope.deep_copy().to_xml()
-    assert envelope.copy().size_bytes == envelope.deep_copy().size_bytes
+    assert envelope.copy().to_xml() == deep_copy(envelope).to_xml()
+    assert envelope.copy().size_bytes == deep_copy(envelope).size_bytes

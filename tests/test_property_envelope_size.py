@@ -7,7 +7,10 @@ non-ASCII addressing fields, characters that need escaping in text and in
 attribute values, ``{}``-keyed and ``xml:`` attributes, a registered
 namespace, more than ten namespaces, visible and transparent headers (with
 ``mustUnderstand``, also on a header that already carries it), faults with
-and without details, and padding.
+and without details, and padding. A second property repeats one namespace
+signature across envelopes that differ only in text, and varies counts,
+orders, ``mustUnderstand`` headers and faults around it, holding the
+memoized prefix cost to a fresh prefix walk.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import measured_size
+from conftest import measured_size, resolved_size_reference
 from repro.soap import (
     SOAP_ENV_NS,
     AddressingHeaders,
@@ -25,6 +28,7 @@ from repro.soap import (
     SoapFault,
 )
 from repro.xmlutils import Element, QName
+from repro.xmlutils.element import resolved_size, size_record
 
 XML_NS = "http://www.w3.org/XML/1998/namespace"
 XS_NS = "http://www.w3.org/2001/XMLSchema"
@@ -108,3 +112,59 @@ def test_size_bytes_equals_the_measured_visible_wire_form(envelope, to, new_body
     replaced.body = new_body
     assert replaced.size_bytes == measured_size(replaced)
     assert envelope.size_bytes == measured_size(envelope)
+
+
+@st.composite
+def signature_families(draw):
+    """A namespace layout (order and count per URI), a header and a content
+    choice, and several texts to fill the layout with."""
+    uris = draw(
+        st.lists(st.sampled_from([XS_NS, SOAP_ENV_NS, *URNS[:5]]), min_size=1, max_size=4)
+    )
+    count = draw(st.integers(1, 3))
+    header = draw(st.none() | st.tuples(st.sampled_from(uris), st.booleans()))
+    content = draw(st.sampled_from(["body", "fault", "empty"]))
+    fillings = draw(st.lists(st.tuples(texts, texts, texts), min_size=2, max_size=4))
+    return uris, count, header, content, fillings
+
+
+def _family_member(uris, count, header, content, filling):
+    to, action, text = filling
+    body = Element(QName(uris[0], "root"))
+    for uri in uris:
+        for index in range(count):
+            body.add(QName(uri, f"p{index}"), text=text)
+    fault = None
+    if content == "fault":
+        fault = SoapFault(FaultCode.CLIENT, text, detail=body)
+    envelope = SoapEnvelope(
+        addressing=AddressingHeaders(to=to, action=action, message_id="m"),
+        body=body if content == "body" else None,
+        fault=fault,
+    )
+    if header is not None:
+        uri, must_understand = header
+        envelope.add_header(Element(QName(uri, "h"), text=text), must_understand=must_understand)
+    return envelope
+
+
+@given(signature_families(), st.randoms(use_true_random=False))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_memoized_signature_cost_equals_a_fresh_prefix_walk(family, rng):
+    uris, count, header, content, fillings = family
+    for filling in fillings:
+        envelope = _family_member(uris, count, header, content, filling)
+        assert envelope.size_bytes == measured_size(envelope)
+    # The same parts as records, in document order and shuffled: every
+    # signature's memoized cost equals the walk it replaced.
+    records = []
+    for filling in fillings:
+        part = _family_member(uris, count, header, content, filling)
+        if part.body is not None:
+            records.append(size_record(part.body))
+        if part.fault is not None:
+            records.append(size_record(part.fault.to_element()))
+        records.extend(size_record(block.element) for block in part.headers)
+    for _ in range(2):
+        assert resolved_size(records) == resolved_size_reference(records)
+        rng.shuffle(records)

@@ -80,6 +80,31 @@ class TestRetailer:
         assert response.body.child_text("shippedFrom") == "WB"
         assert scm.warehouses["WA"].stockouts == 1
 
+    def test_fall_through_sends_one_request_tree(self, scm, monkeypatch):
+        """Every warehouse attempt carries the one built shipGoods payload."""
+        received = []
+        for warehouse in scm.warehouses.values():
+
+            def recording(payload, ctx, original=warehouse.op_shipGoods):
+                received.append(payload)
+                return (yield from original(payload, ctx))
+
+            monkeypatch.setattr(warehouse, "op_shipGoods", recording)
+        scm.warehouses["WA"].stock["TV"] = 0
+        scm.warehouses["WB"].stock["TV"] = 0
+        response = invoke(
+            scm,
+            scm.retailers["A"].address,
+            "submitOrder",
+            RETAILER_CONTRACT.operation("submitOrder").input.build(
+                orderId="o-4", items="TVx1", customerId="c-1"
+            ),
+        )
+        assert response.body.child_text("shippedFrom") == "WC"
+        assert len(received) == 3
+        assert all(payload is received[0] for payload in received)
+        assert received[0].child_text("product") == "TV"
+
     def test_fall_through_skips_unavailable_warehouse(self, scm):
         scm.network.endpoint(scm.warehouses["WA"].address).available = False
         response = invoke(

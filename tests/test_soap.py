@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import measured_size, serialize_xml_reference
+from conftest import deep_copy, measured_size, serialize_xml_reference
 from repro.soap import (
     AddressingHeaders,
     SOAP_ENV_NS,
@@ -89,7 +89,7 @@ class TestEnvelope:
     def test_deep_copy_is_private(self):
         envelope = SoapEnvelope.request("http://svc", "urn:a", Element("q", text="v"))
         envelope.add_header(Element("h", text="x"))
-        duplicate = envelope.deep_copy()
+        duplicate = deep_copy(envelope)
         assert duplicate.to_xml() == envelope.to_xml()
         duplicate.body.text = "changed"
         duplicate.headers[0].element.text = "y"
@@ -396,3 +396,44 @@ class TestArithmeticSizing:
         envelope.add_header(Element("{urn:ext}h"), must_understand=True)
         assert envelope.size_bytes > 0
         assert envelope.reply_fault(SoapFault(FaultCode.TIMEOUT, "t")).size_bytes > 0
+
+    def test_addressing_records_are_memoized_per_shape_and_bounded(self):
+        import repro.soap.envelope as envelope_module
+
+        limit = envelope_module._ADDRESSING_LIMIT
+        for index in range(limit + 5):
+            envelope = self._request(to="t" * index, action="urn:op:x", message_id="m")
+            assert envelope.size_bytes == measured_size(envelope)
+            assert len(envelope_module._ADDRESSING_RECORDS) <= limit
+        again = self._request(to="t" * 3, action="urn:op:x", message_id="m")
+        assert again.size_bytes == measured_size(again)
+
+    def test_bare_sizes_are_memoized_per_shape_and_signature_and_bounded(self):
+        import repro.soap.envelope as envelope_module
+
+        limit = envelope_module._BARE_SIZES.limit
+        for index in range(limit + 5):
+            body = Element("{urn:x}q", text="v" * (index % 7))
+            body.add(f"{{urn:n{index % 3}}}p", text="w")
+            envelope = self._request(body, to="t" * index, action="urn:op:x", message_id="m")
+            assert envelope.size_bytes == measured_size(envelope)
+            assert len(envelope_module._BARE_SIZES) <= limit
+
+    def test_registering_a_prefix_resizes_shared_and_fresh_bodies(self):
+        import xml.etree.ElementTree as ET
+
+        uri = "urn:registered:envelope"
+        shared = Element(f"{{{uri}}}q", text="x")
+        sized = [self._request(shared), self._request(Element(f"{{{uri}}}q", text="y"))]
+        assert [envelope.size_bytes for envelope in sized] == [
+            measured_size(envelope) for envelope in sized
+        ]
+        ET.register_namespace("latecomer", uri)
+        try:
+            for body in (shared, Element(f"{{{uri}}}q", text="z")):
+                envelope = self._request(body)
+                assert envelope.size_bytes == measured_size(envelope)
+        finally:
+            del ET.register_namespace._namespace_map[uri]
+        envelope = self._request(shared)
+        assert envelope.size_bytes == measured_size(envelope)

@@ -1,9 +1,14 @@
 """Unit tests for the XML element tree and QNames."""
 
+import pickle
+import xml.etree.ElementTree as ET
+
 import pytest
 
-from conftest import serialize_xml_reference
+from conftest import resolved_size_reference, serialize_xml_reference
 from repro.xmlutils import Element, QName, XmlError, parse_xml, serialize_xml
+from repro.xmlutils import element as element_module
+from repro.xmlutils import qname as qname_module
 from repro.xmlutils.element import resolved_size, size_record
 
 
@@ -38,6 +43,45 @@ class TestQName:
     def test_empty_local_rejected(self):
         with pytest.raises(ValueError):
             QName("ns", "")
+
+    @pytest.mark.parametrize("text", ["", "{urn:x}", "{}", "{urn:x"])
+    def test_comparing_with_a_non_name_string_is_false(self, text):
+        assert (QName("", "a") == text) is False
+        assert (QName("urn:x", "a") == text) is False
+        assert QName("", "a") != text
+
+    def test_parse_interns_plain_qnames(self):
+        assert QName.parse("{urn:ns}x") is QName.parse("{urn:ns}x")
+        assert QName.parse("x") is QName.parse("x")
+        assert QName.parse("{urn:ns}x") == QName("urn:ns", "x")
+
+    def test_parse_of_a_subclass_is_neither_interned_nor_shared(self):
+        class Tagged(QName):
+            __slots__ = ()
+
+        plain = QName.parse("{urn:ns}tagged")
+        first = Tagged.parse("{urn:ns}tagged")
+        assert type(first) is Tagged and first == plain
+        assert Tagged.parse("{urn:ns}tagged") is not first
+        assert QName.parse("{urn:ns}tagged") is plain
+
+    def test_parse_memo_stays_bounded_on_unique_strings(self):
+        limit = qname_module._PARSED_LIMIT
+        for index in range(2 * limit + 7):
+            name = QName.parse(f"{{urn:unique}}n{index}")
+            assert name.local == f"n{index}"
+            assert len(qname_module._PARSED) <= limit
+        assert QName.parse("{urn:unique}n3") == QName("urn:unique", "n3")
+
+    def test_rejected_text_is_not_memoized(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                QName.parse("{urn:x}")
+        assert "{urn:x}" not in qname_module._PARSED
+
+    def test_pickle_round_trip(self):
+        name = QName("urn:ns", "x")
+        assert pickle.loads(pickle.dumps(name)) == name
 
 
 class TestElementTree:
@@ -240,8 +284,72 @@ class TestFastSerializerDifferential:
             serialize_xml(tree).encode("utf-8")
         )
 
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_memoized_size_matches_a_fresh_prefix_walk(self, name):
+        tree = self.CORPUS[name]()
+        records = [size_record(tree)]
+        element_module._SIGNATURE_COSTS.clear()
+        miss = resolved_size(records)
+        hit = resolved_size(records)
+        assert miss == hit == resolved_size_reference(records)
+
     def test_serialization_does_not_mutate_the_tree(self):
         tree = _multi_namespace_tree()
         before = serialize_xml_reference(tree)
         serialize_xml(tree)
         assert serialize_xml_reference(tree) == before
+
+
+class TestSignatureMemo:
+    """``resolved_size`` memoizes prefix costs per namespace signature."""
+
+    @staticmethod
+    def _tree(texts, uris):
+        root = Element(QName(uris[0], "root"), text=texts[0])
+        for index, uri in enumerate(uris):
+            root.add(QName(uri, "part"), text=texts[index % len(texts)])
+        return root
+
+    def test_one_signature_many_texts(self):
+        uris = ["urn:a", "urn:b", "urn:a"]
+        for texts in (["x"], ["longer text", "é"], ["a & b", "", "<>"]):
+            tree = self._tree(texts, uris)
+            records = [size_record(tree)]
+            assert resolved_size(records) == resolved_size_reference(records)
+            assert resolved_size(records) == len(serialize_xml(tree).encode("utf-8"))
+
+    def test_counts_and_orders_are_different_signatures(self):
+        for uris in (["urn:a", "urn:b"], ["urn:b", "urn:a"], ["urn:a", "urn:b", "urn:b"]):
+            tree = self._tree(["t"], uris)
+            records = [size_record(tree)]
+            assert resolved_size(records) == len(serialize_xml(tree).encode("utf-8"))
+
+    def test_split_records_in_document_order(self):
+        parts = [self._tree(["t"], ["urn:c", "urn:d"]), self._tree(["u"], ["urn:d"])]
+        records = [size_record(part) for part in parts]
+        assert resolved_size(records) == resolved_size_reference(records)
+        assert resolved_size(records[::-1]) == resolved_size_reference(records[::-1])
+
+    def test_memo_stays_bounded(self):
+        limit = element_module._SIGNATURE_COSTS.limit
+        for index in range(limit + 5):
+            records = [(1, ((f"urn:bound:{index}", 1),))]
+            assert resolved_size(records) == resolved_size_reference(records)
+            assert len(element_module._SIGNATURE_COSTS) <= limit
+
+    def test_registering_a_prefix_invalidates_the_memo(self):
+        uri = "urn:registered:late"
+        tree = self._tree(["t"], [uri])
+        records = [size_record(tree)]
+        before = resolved_size(records)  # memoized under ns0
+        registry = ET.register_namespace._namespace_map
+        ET.register_namespace("latecomer", uri)
+        try:
+            after = resolved_size(records)
+            assert after == resolved_size_reference(records)
+            assert after == len(serialize_xml(tree).encode("utf-8"))
+            # Four prefixed tags and one xmlns declaration grow by 6 bytes each.
+            assert after - before == 5 * (len("latecomer") - len("ns0"))
+        finally:
+            del registry[uri]
+        assert resolved_size(records) == before
